@@ -6,7 +6,7 @@ import time
 
 from conftest import N_REQUESTS, SAMPLES, mean_seconds, record_bench, run_once
 
-from repro.core import instrument
+from repro.obs import metrics
 from repro.core.cache import ResultCache, configure
 from repro.core.executor import ParallelExecutor, usable_cpu_count
 from repro.core.rng import RandomStreams
@@ -30,12 +30,12 @@ paper Fig. 4 anchors:
 
 def test_fig4(benchmark, streams):
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     rows = run_once(benchmark, run_fig4, samples=SAMPLES,
                     n_requests=N_REQUESTS, streams=streams)
     record_bench("fig4", "fig4_full",
                  seconds_mean=mean_seconds(benchmark), rows=len(rows),
-                 probes=instrument.value(instrument.PROBES))
+                 probes=metrics.counter(metrics.PROBES).value)
     print()
     print(format_fig4(rows))
     print(PAPER_NOTES)

@@ -13,7 +13,8 @@ import pytest
 from conftest import _RECORDS, mean_seconds, record_bench
 
 from repro.core import Resource, Simulator
-from repro.core import instrument, trace
+from repro.core import trace
+from repro.obs import metrics
 from repro.core.queueing import (
     bounded_waits,
     lindley_waits,
@@ -129,11 +130,11 @@ def test_sweep_probe_count(benchmark):
     from repro.experiments.profiles import get_profile
 
     profile = get_profile("udp:64", samples=60)
-    instrument.reset()
+    metrics.reset()
     warm = benchmark.pedantic(
         sweep_operating_rate, args=(profile, "host", RandomStreams(1)),
         kwargs={"n_requests": 20_000, "warm": True}, rounds=1, iterations=1)
-    saved = instrument.value(instrument.PROBES_SAVED)
+    saved = metrics.counter(metrics.PROBES_SAVED).value
     cold = sweep_operating_rate(profile, "host", RandomStreams(1),
                                 n_requests=20_000, warm=False)
     record_bench("kernel", "sweep_probes",

@@ -2,9 +2,9 @@
 idle and cheap when hot.
 
 Mirrors the flight-recorder's ``trace_disabled_overhead`` contract: the
-typed registry (repro.obs.metrics) now backs every ``instrument``
-counter, so a regression here taxes every experiment.  The gate compares
-the same event-kernel workload against the ``event_kernel`` baseline
+typed registry (repro.obs.metrics) backs every counter, so a regression
+here taxes every experiment.  The gate compares the same event-kernel
+workload against the ``event_kernel`` baseline
 recorded earlier in this session (or the machine's last
 ``BENCH_kernel.json``) — run ``test_bench_kernel.py`` first so the
 in-session baseline exists.
@@ -25,7 +25,7 @@ def test_metrics_disabled_overhead(benchmark):
 
     Same 2000-job event-kernel workload as
     ``test_event_kernel_throughput``; the kernel itself records nothing
-    per event, so routing ``instrument`` through the typed registry must
+    per event, so routing counters through the typed registry must
     leave its cost within noise of the baseline.  Median-vs-median with
     a loose 4x tolerance — a tripwire for accidental per-event metric
     writes, not a microbenchmark.

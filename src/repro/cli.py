@@ -62,7 +62,7 @@ import time
 from typing import List, Optional
 
 from .analysis.report import generate_report
-from .core import hybrid, instrument, trace
+from .core import hybrid, trace
 from .core.cache import CODE_VERSION, ResultCache, configure
 from .core.executor import ParallelExecutor
 from .core.rng import RandomStreams
@@ -74,6 +74,7 @@ from .experiments.registry import (
     PartialResult,
 )
 from .faults.retry import RetryPolicy
+from .obs import metrics as obs_metrics
 from .runfarm import (
     QuarantinedUnitError,
     RunManifest,
@@ -265,7 +266,6 @@ def _write_trace_files(trace_dir: str) -> None:
 
 def _write_metrics_files(metrics_dir: str) -> None:
     """Export the metric registry as OpenMetrics text + JSONL."""
-    from .obs import metrics as obs_metrics
     from .obs.openmetrics import write_metrics_files
 
     prom_path, jsonl_path, count = write_metrics_files(
@@ -313,7 +313,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--run-dir and --resume are mutually exclusive "
                      "(--resume already names the run directory)")
     _configure_logging(args.log_level)
-    instrument.reset()
+    obs_metrics.reset()
     # Run-farm supervision activates when any runfarm flag is given;
     # --resume additionally adopts the original run's fidelity so the
     # resumed output is byte-identical.  Must run before the cache is
@@ -484,29 +484,27 @@ def _setup_runfarm(args, parser) -> ParallelExecutor:
 
 def _print_footer(started: float,
                   executor: Optional[ParallelExecutor] = None) -> None:
+    counters = obs_metrics.registry().counter_values()
     parts = [
         f"{time.time() - started:.1f}s",
-        f"probes: {instrument.value(instrument.PROBES_SIMULATED)} simulated, "
-        f"{instrument.value(instrument.ANALYTIC_HITS)} analytic, "
-        f"{instrument.value(instrument.PROBES_SAVED)} saved",
-        f"cache {instrument.value(instrument.CACHE_HITS)} hit / "
-        f"{instrument.value(instrument.CACHE_MISSES)} miss",
-        f"kernel {instrument.value(instrument.EVENTS_SCHEDULED)} sched / "
-        f"{instrument.value(instrument.EVENTS_FIRED)} fired",
+        f"probes: {counters.get(obs_metrics.PROBES_SIMULATED, 0)} simulated, "
+        f"{counters.get(obs_metrics.ANALYTIC_HITS, 0)} analytic, "
+        f"{counters.get(obs_metrics.PROBES_SAVED, 0)} saved",
+        f"cache {counters.get(obs_metrics.CACHE_HITS, 0)} hit / "
+        f"{counters.get(obs_metrics.CACHE_MISSES, 0)} miss",
+        f"kernel {counters.get(obs_metrics.EVENTS_SCHEDULED, 0)} sched / "
+        f"{counters.get(obs_metrics.EVENTS_FIRED, 0)} fired",
     ]
     if isinstance(executor, SupervisedExecutor):
         parts.append(executor.summary())
     # Every other non-zero counter, in sorted (stable) order, so new
     # subsystems surface in the footer without bespoke formatting.
-    from .obs import metrics as obs_metrics
-
-    shown = {instrument.PROBES, instrument.PROBES_SIMULATED,
-             instrument.ANALYTIC_HITS, instrument.PROBES_SAVED,
-             instrument.CACHE_HITS, instrument.CACHE_MISSES,
-             instrument.EVENTS_SCHEDULED, instrument.EVENTS_FIRED}
-    registry_counters = obs_metrics.registry().counter_values()
+    shown = {obs_metrics.PROBES, obs_metrics.PROBES_SIMULATED,
+             obs_metrics.ANALYTIC_HITS, obs_metrics.PROBES_SAVED,
+             obs_metrics.CACHE_HITS, obs_metrics.CACHE_MISSES,
+             obs_metrics.EVENTS_SCHEDULED, obs_metrics.EVENTS_FIRED}
     parts.extend(f"{name} {value}"
-                 for name, value in sorted(registry_counters.items())
+                 for name, value in sorted(counters.items())
                  if value and name not in shown)
     rec = trace.recorder()
     if rec is not None:

@@ -10,13 +10,11 @@ from .analytic import (
     slo_capacity,
 )
 from .cache import CODE_VERSION, ResultCache, cache_key
-from .closedloop import ClosedLoopResult, simulate_closed_loop
 from .engine import Event, Process, Simulator, SimulationError, Timeout
 from .executor import ParallelExecutor, WorkUnit
 from .metrics import (
     LatencyRecorder,
     LatencySummary,
-    P2Quantile,
     RunMetrics,
     ThroughputMeter,
     summarize_samples,
@@ -37,8 +35,6 @@ __all__ = [
     "CODE_VERSION",
     "ResultCache",
     "cache_key",
-    "ClosedLoopResult",
-    "simulate_closed_loop",
     "Event",
     "Process",
     "Simulator",
@@ -52,7 +48,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "ThroughputMeter",
-    "P2Quantile",
     "RunMetrics",
     "SweepResult",
     "summarize_samples",

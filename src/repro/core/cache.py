@@ -27,7 +27,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from . import instrument, trace
+from ..obs import metrics
+from . import trace
 
 logger = logging.getLogger("repro.cache")
 
@@ -118,7 +119,7 @@ class ResultCache:
         if key in self._memory:
             if count:
                 self.stats.hits += 1
-                instrument.increment(instrument.CACHE_HITS)
+                metrics.counter(metrics.CACHE_HITS).inc()
             if trace.TRACING:
                 trace.instant("cache.get", trace.CACHE, key=key[:12], hit=True)
             return True, self._memory[key]
@@ -138,14 +139,14 @@ class ResultCache:
                     if count:
                         self.stats.hits += 1
                         self.stats.disk_hits += 1
-                        instrument.increment(instrument.CACHE_HITS)
+                        metrics.counter(metrics.CACHE_HITS).inc()
                     if trace.TRACING:
                         trace.instant("cache.get", trace.CACHE,
                                       key=key[:12], hit=True, disk=True)
                     return True, value
         if count:
             self.stats.misses += 1
-            instrument.increment(instrument.CACHE_MISSES)
+            metrics.counter(metrics.CACHE_MISSES).inc()
         if trace.TRACING:
             trace.instant("cache.get", trace.CACHE, key=key[:12], hit=False)
         return False, None
@@ -158,7 +159,7 @@ class ResultCache:
         re-tripping on the same bad pickle.
         """
         self.stats.corrupt += 1
-        instrument.increment(instrument.CACHE_CORRUPT)
+        metrics.counter(metrics.CACHE_CORRUPT).inc()
         logger.warning("quarantining corrupt cache entry %s -> %s.corrupt",
                        os.path.basename(path), os.path.basename(path))
         if trace.TRACING:

@@ -17,7 +17,8 @@ import heapq
 from time import perf_counter
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from . import instrument, trace
+from ..obs import metrics
+from . import trace
 
 
 class SimulationError(RuntimeError):
@@ -161,7 +162,7 @@ class Simulator:
         self._queue: List[Tuple[float, int, Any]] = []
         self._sequence = 0
         # Flight-recorder bookkeeping: fired-event count and cumulative
-        # run-loop wall time.  Folded into the process-wide instrument
+        # run-loop wall time.  Folded into the process-wide metric
         # counters at the end of every run() call (not per event — the
         # run loop itself only pays one local integer add per event).
         self.events_fired = 0
@@ -241,9 +242,9 @@ class Simulator:
         scheduled = self._sequence - self._folded_scheduled
         fired = self.events_fired - self._folded_fired
         if scheduled:
-            instrument.increment(instrument.EVENTS_SCHEDULED, scheduled)
+            metrics.counter(metrics.EVENTS_SCHEDULED).inc(scheduled)
         if fired:
-            instrument.increment(instrument.EVENTS_FIRED, fired)
+            metrics.counter(metrics.EVENTS_FIRED).inc(fired)
         self._folded_scheduled = self._sequence
         self._folded_fired = self.events_fired
         if trace.TRACING:

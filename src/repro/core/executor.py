@@ -50,7 +50,7 @@ from typing import (
 )
 
 from ..obs import metrics
-from . import instrument, trace
+from . import trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cache import ResultCache
@@ -242,8 +242,8 @@ def _emit_unit_profile(unit: WorkUnit, events: int, delta: Dict[str, Any]) -> No
         "unit", trace.PROBE,
         unit=unit.name,
         events=events,
-        probes=metrics.counter_delta(delta, instrument.PROBES),
-        sim_events=metrics.counter_delta(delta, instrument.EVENTS_FIRED),
+        probes=metrics.counter_delta(delta, metrics.PROBES),
+        sim_events=metrics.counter_delta(delta, metrics.EVENTS_FIRED),
     )
 
 
@@ -604,7 +604,7 @@ class ParallelExecutor:
                     unit=state.unit.name, kind=UnitFailure.WORKER_LOST,
                     elapsed_s=elapsed, attempt=state.attempt,
                     message=f"worker exited with code {exitcode}")
-                instrument.increment(instrument.RUNFARM_WORKER_LOST)
+                metrics.counter(metrics.RUNFARM_WORKER_LOST).inc()
                 logger.warning("worker for unit %s died (exit %s); "
                                "surfacing worker-lost", state.unit.name,
                                exitcode)
@@ -645,7 +645,7 @@ class ParallelExecutor:
                         except OSError:
                             pass
                         elapsed = now - state.started
-                        instrument.increment(instrument.RUNFARM_TIMEOUTS)
+                        metrics.counter(metrics.RUNFARM_TIMEOUTS).inc()
                         logger.warning(
                             "unit %s exceeded %.2fs deadline after %.2fs; "
                             "SIGKILLed worker %s", state.unit.name,
@@ -680,7 +680,7 @@ class ParallelExecutor:
             self.last_profiles[units[index].name] = UnitProfile(
                 unit=units[index].name, wall_s=wall_s, cpu_s=cpu_s,
                 sim_events=metrics.counter_delta(delta,
-                                                 instrument.EVENTS_FIRED))
+                                                 metrics.EVENTS_FIRED))
             results[index] = result
         return results
 
@@ -701,7 +701,7 @@ class ParallelExecutor:
             if status is not None and status.stale and elapsed > 1.0:
                 if not state.reported_slow:
                     state.reported_slow = True
-                    instrument.increment(instrument.RUNFARM_WORKERS_HUNG)
+                    metrics.counter(metrics.RUNFARM_WORKERS_HUNG).inc()
                     logger.warning(
                         "worker %s (unit %s) looks hung: heartbeat stale "
                         "for %.1fs", state.proc.pid, state.unit.name,
@@ -709,7 +709,7 @@ class ParallelExecutor:
             elif (expected is not None and elapsed > max(4 * expected, 1.0)
                     and not state.reported_slow):
                 state.reported_slow = True
-                instrument.increment(instrument.RUNFARM_WORKERS_SLOW)
+                metrics.counter(metrics.RUNFARM_WORKERS_SLOW).inc()
                 logger.info(
                     "worker %s (unit %s) is slow: %.1fs vs ~%.2fs expected "
                     "(heartbeat healthy)", state.proc.pid, state.unit.name,
@@ -761,10 +761,10 @@ class ParallelExecutor:
                     cpu_s=time.process_time() - cpu_started,
                     sim_events=metrics.counter_delta(
                         metrics.delta_since(before),
-                        instrument.EVENTS_FIRED))
+                        metrics.EVENTS_FIRED))
                 results.append(result)
             except _InProcessTimeout:
-                instrument.increment(instrument.RUNFARM_TIMEOUTS)
+                metrics.counter(metrics.RUNFARM_TIMEOUTS).inc()
                 results.append(UnitFailure(
                     unit=unit.name, kind=UnitFailure.TIMEOUT,
                     elapsed_s=time.perf_counter() - started, attempt=attempt,

@@ -3,13 +3,11 @@
 The paper's methodology is: drive a function at a fixed offered rate, then
 report the sustained throughput and the p99 of per-request latency at that
 rate.  These classes implement that methodology, including warmup trimming
-(the paper discards ramp-up) and streaming quantile estimation for long
-runs where storing every sample would be wasteful.
+(the paper discards ramp-up).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -133,86 +131,6 @@ class ThroughputMeter:
 
     def gbps(self, window: float) -> float:
         return self.byte_rate(window) * 8 / 1e9
-
-
-class P2Quantile:
-    """The P-squared streaming quantile estimator (Jain & Chlamtac 1985).
-
-    Used for very long power-trace runs; bounded memory, no sample storage.
-    """
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.q = q
-        self._initial: List[float] = []
-        self._n: List[int] = []
-        self._np: List[float] = []
-        self._heights: List[float] = []
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if len(self._initial) < 5:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._n = [1, 2, 3, 4, 5]
-                q = self.q
-                self._np = [1, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5]
-            return
-        heights, n = self._heights, self._n
-        if value < heights[0]:
-            heights[0] = value
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if value < heights[i]:
-                    k = i - 1
-                    break
-            else:
-                k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1
-        q = self.q
-        increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-        for i in range(5):
-            self._np[i] += increments[i]
-        for i in range(1, 4):
-            d = self._np[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
-                sign = 1 if d >= 1 else -1
-                candidate = self._parabolic(i, sign)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, sign)
-                n[i] += sign
-
-    def _parabolic(self, i: int, sign: int) -> float:
-        n, h = self._n, self._heights
-        return h[i] + sign / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, sign: int) -> float:
-        n, h = self._n, self._heights
-        return h[i] + sign * (h[i + sign] - h[i]) / (n[i + sign] - n[i])
-
-    def value(self) -> float:
-        if self.count == 0:
-            return float("nan")
-        if len(self._initial) < 5 or not self._heights:
-            data = sorted(self._initial)
-            index = min(len(data) - 1, int(math.ceil(self.q * len(data))) - 1)
-            return data[max(index, 0)]
-        return self._heights[2]
 
 
 @dataclass

@@ -14,7 +14,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from . import instrument, trace
+from ..obs import metrics as obs_metrics
+from . import trace
 from .metrics import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,7 +154,7 @@ def find_max_sustainable_rate(
     ramp from the estimate).  The answer is always probe-verified — the
     estimate never substitutes for simulation.  The probes a warm start
     avoided versus the replayed cold search are credited to the
-    ``probe.saved`` counter (:data:`instrument.PROBES_SAVED`).
+    ``probe.saved`` counter (:data:`repro.obs.metrics.PROBES_SAVED`).
 
     A ``run_at`` that raises is contained: the failed probe is recorded in
     ``SweepResult.probes`` (see ``SweepResult.failed_probes``) and treated
@@ -195,7 +196,7 @@ def find_max_sustainable_rate(
                                      tolerance, max_probes)
             saved = cold - len(probes)
             if saved > 0:
-                instrument.increment(instrument.PROBES_SAVED, saved)
+                obs_metrics.counter(obs_metrics.PROBES_SAVED).inc(saved)
             if trace.TRACING:
                 trace.instant("sweep.warm_start", trace.PROBE,
                               guess=round(warm_start, 6),

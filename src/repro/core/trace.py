@@ -56,7 +56,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
 
-from . import instrument
+from ..obs import metrics
 
 # -- categories --------------------------------------------------------------
 
@@ -120,7 +120,7 @@ class TraceRecorder:
         if len(self._events) >= self.capacity:
             self._events.popleft()
             self.dropped += 1
-            instrument.increment(instrument.TRACE_DROPPED)
+            metrics.counter(metrics.TRACE_DROPPED).inc()
         self._events.append(event)
         self.appended += 1
 

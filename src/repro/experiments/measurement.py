@@ -31,7 +31,7 @@ from ..calibration import (
     POWER,
     base_rtt_sampler,
 )
-from ..core import analytic, hybrid, instrument, trace
+from ..core import analytic, hybrid, trace
 from ..core.cache import cache_key, get_cache
 from ..core.hybrid import TrustRecord
 from ..core.metrics import RunMetrics
@@ -46,6 +46,7 @@ from ..core.queueing import (
 from ..core.rng import RandomStreams
 from ..core.sweep import SweepResult, find_max_sustainable_rate
 from ..core.units import gbps_to_bytes_per_second
+from ..obs import metrics as obs_metrics
 from ..power.energy import EnergyReport
 from ..power.models import ComponentLoad, ServerPowerModel, SnicPowerModel
 from .profiles import FunctionProfile, get_profile
@@ -204,8 +205,8 @@ def run_fixed_rate(
     n_requests: int = 20_000,
 ) -> RunMetrics:
     """Offer ``rate`` requests/s and measure (the inner loop of a sweep)."""
-    instrument.increment(instrument.PROBES)
-    instrument.increment(instrument.PROBES_SIMULATED)
+    obs_metrics.counter(obs_metrics.PROBES).inc()
+    obs_metrics.counter(obs_metrics.PROBES_SIMULATED).inc()
     if not trace.TRACING:
         return _run_fixed_rate(profile, platform, rate, streams, n_requests)
     # Each probe records onto its own sub-track, so its queue-depth
@@ -372,12 +373,12 @@ def run_ladder(
     count = len(rates)
     if count == 0:
         return []
-    instrument.increment(instrument.PROBES, count)
-    instrument.increment(instrument.PROBES_SIMULATED, count)
+    obs_metrics.counter(obs_metrics.PROBES).inc(count)
+    obs_metrics.counter(obs_metrics.PROBES_SIMULATED).inc(count)
     if count > 1:
         # Every rung past the first reuses the shared draws instead of
         # re-sampling (services + gaps + stack RTT).
-        instrument.increment(instrument.SAMPLES_REUSED, count - 1)
+        obs_metrics.counter(obs_metrics.SAMPLES_REUSED).inc(count - 1)
     if not trace.TRACING:
         return _run_ladder(profile, platform, rates, streams, n_requests)
     with trace.track(trace.subtrack(f"{profile.key}:{platform}:ladder")):
@@ -720,8 +721,8 @@ def run_validated_ladder(
 
     analytic_count = len(rates) - len(simulated)
     if analytic_count:
-        instrument.increment(instrument.PROBES, analytic_count)
-        instrument.increment(instrument.ANALYTIC_HITS, analytic_count)
+        obs_metrics.counter(obs_metrics.PROBES).inc(analytic_count)
+        obs_metrics.counter(obs_metrics.ANALYTIC_HITS).inc(analytic_count)
     return [simulated.get(index) or predictions[index]
             for index in range(len(rates))]
 
@@ -967,8 +968,8 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
 
     analytic_count = len(ladder) - len(simulated)
     if analytic_count:
-        instrument.increment(instrument.PROBES, analytic_count)
-        instrument.increment(instrument.ANALYTIC_HITS, analytic_count)
+        obs_metrics.counter(obs_metrics.PROBES).inc(analytic_count)
+        obs_metrics.counter(obs_metrics.ANALYTIC_HITS).inc(analytic_count)
     rung_metrics = [
         simulated.get(index) or predictions[index]
         for index in range(len(ladder))
@@ -1078,8 +1079,8 @@ def _trusted_run_at(profile, platform, anchor, record: TrustRecord,
                         or p99 * (1.0 - margin) > slo_p99)
             if not decisive:
                 return simulate_at(rate)
-        instrument.increment(instrument.PROBES)
-        instrument.increment(instrument.ANALYTIC_HITS)
+        obs_metrics.counter(obs_metrics.PROBES).inc()
+        obs_metrics.counter(obs_metrics.ANALYTIC_HITS).inc()
         return prediction
 
     return run_at

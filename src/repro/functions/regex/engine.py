@@ -85,7 +85,8 @@ class MultiPatternMatcher:
             if state_depth:
                 # Depth-1 excursions are ordinary scanning; only states two
                 # or more transitions from the root count as verification
-                # work (the prefilter has "hit" and the engine is matching).
+                # work (a literal prefix has matched and the engine is
+                # confirming the rest of the pattern).
                 if state_depth >= 2:
                     deep_visits += 1
                 found = accepts[state]

@@ -3,11 +3,10 @@
 The telemetry subsystem every experiment reports through:
 
 * :mod:`metrics` — a typed metric registry (Counter, Gauge, Histogram
-  with deterministic log-spaced buckets and exact quantiles, Timer).
-  Worker-side delta snapshots merge parent-side in submission order,
-  exactly like the flat counters always have, so every total is
-  byte-identical at any ``--jobs N``.  :mod:`repro.core.instrument` is
-  now a thin back-compat shim over the default registry.
+  with deterministic log-spaced buckets and exact quantiles) and the
+  well-known counter names.  Worker-side delta snapshots merge
+  parent-side in submission order, so every total is byte-identical at
+  any ``--jobs N``.
 * :mod:`openmetrics` — OpenMetrics text exposition and JSONL export
   (``--metrics-out`` on every verb), a strict exposition parser for CI,
   and an opt-in localhost ``/metrics`` HTTP endpoint
@@ -23,13 +22,12 @@ Fleet progress rendering lives with the run farm in
 """
 
 from . import metrics
-from .metrics import Counter, Gauge, Histogram, MetricRegistry, Timer
+from .metrics import Counter, Gauge, Histogram, MetricRegistry
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "Timer",
     "metrics",
 ]

@@ -1,48 +1,90 @@
 """Typed metric registry with deterministic cross-process merging.
 
-The flat integer counters of :mod:`repro.core.instrument` answered "how
-many", but the observability questions the run farm actually asks —
-"what is the p99 unit wall time", "how uneven is events/s across the
-fleet" — need distributions and point-in-time values.  This module adds
-the missing metric kinds behind one registry:
+The experiment stack counts cheap, coarse things — rate probes run,
+cache hits, kernel events, trace-buffer evictions — so the CLI can
+report what a command actually did, and the run farm asks questions
+that need distributions and point-in-time values ("what is the p99 unit
+wall time", "how uneven is events/s across the fleet").  One registry
+holds every metric kind:
 
-* :class:`Counter` — a monotone integer (the existing counters, now
-  typed);
+* :class:`Counter` — a monotone integer, keyed by any dotted name (the
+  well-known names are the constants below), bumped with
+  ``counter(NAME).inc(n)``;
 * :class:`Gauge` — a last-written float (queue depth, ETA, SLO
   measurements);
 * :class:`Histogram` — deterministic log-spaced buckets *plus* the raw
   observations, so bucket counts and exact nearest-rank quantiles are
   both available.  Harness-level distributions are small (thousands of
   per-unit timings, not per-request samples), so keeping the values is
-  cheap and buys exactness;
-* :class:`Timer` — a context manager observing wall seconds into a
-  histogram.
+  cheap and buys exactness.
 
 The determinism contract
 ------------------------
 
-Everything merges exactly like the flat counters always have: a worker
-snapshots the registry before a unit (:func:`snapshot`), computes the
-delta after (:func:`delta_since`), and ships the delta — a plain
-picklable dict — back to the parent, which folds deltas in **submission
-order** (:func:`merge`).  Histogram deltas carry the raw values observed
-during the unit and the parent *re-observes them in order*, so bucket
-counts, float sums, and quantiles are bit-identical between ``--jobs 1``
-and ``--jobs N``.  Gauges merge last-write-wins in merge order, which is
-submission order, which is the serial order.
+A worker snapshots the registry before a unit (:func:`snapshot`),
+computes the delta after (:func:`delta_since`), and ships the delta — a
+plain picklable dict — back to the parent, which folds deltas in
+**submission order** (:func:`merge`).  Counter totals are therefore
+identical whether a study ran with ``--jobs 1`` or ``--jobs N``.
+Histogram deltas carry the raw values observed during the unit and the
+parent *re-observes them in order*, so bucket counts, float sums, and
+quantiles are bit-identical between ``--jobs 1`` and ``--jobs N``.
+Gauges merge last-write-wins in merge order, which is submission order,
+which is the serial order.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
+
+# -- well-known counter names ------------------------------------------------
+
+PROBES = "probes"
+# Probes an analytic warm start avoided versus the equivalent cold
+# search (an estimate: the cold control flow replayed against the found
+# rate) — see core.sweep.find_max_sustainable_rate(warm_start=...).
+PROBES_SAVED = "probe.saved"
+# Hybrid engine accounting (DESIGN.md "Hybrid probe engine"): every
+# probe evaluation increments PROBES; PROBES_SIMULATED counts the ones
+# actually run through a queueing kernel, ANALYTIC_HITS the ones served
+# by the validated analytic fast path (so PROBES == simulated +
+# analytic), and SAMPLES_REUSED the simulated probes that reused a
+# sibling rung's sampled service/interarrival/RTT arrays instead of
+# drawing fresh ones.
+PROBES_SIMULATED = "probe.simulated"
+ANALYTIC_HITS = "analytic.hits"
+SAMPLES_REUSED = "probe.samples_reused"
+CACHE_HITS = "cache_hits"
+CACHE_MISSES = "cache_misses"
+# Disk-cache entries that failed to unpickle and were quarantined to a
+# ``*.corrupt`` sibling (never silently swallowed) — see core.cache.
+CACHE_CORRUPT = "cache.corrupt"
+# Run-farm supervision counters (runfarm/): unit attempts that hit the
+# wall-clock deadline and were SIGKILLed, workers that died mid-unit,
+# harness-level retries, units quarantined as poison pills after
+# exhausting attempts, units served from a prior run's manifest +
+# artifact store on --resume, and worker heartbeats observed by the
+# parent-side health monitor.
+RUNFARM_TIMEOUTS = "runfarm.timeout"
+RUNFARM_WORKER_LOST = "runfarm.worker_lost"
+RUNFARM_RETRIES = "runfarm.retries"
+RUNFARM_QUARANTINED = "runfarm.quarantined"
+RUNFARM_RESUMED = "runfarm.resumed"
+RUNFARM_HEARTBEATS = "runfarm.heartbeats"
+RUNFARM_WORKERS_HUNG = "runfarm.workers_hung"
+RUNFARM_WORKERS_SLOW = "runfarm.workers_slow"
+# Kernel flight-recorder counters: folded by Simulator.run() and the
+# trace ring buffer; merged across workers like every other counter.
+EVENTS_SCHEDULED = "sim.events_scheduled"
+EVENTS_FIRED = "sim.events_fired"
+TRACE_DROPPED = "trace.dropped"
 
 
 def log_buckets(lo: float, hi: float, per_decade: int = 4) -> Tuple[float, ...]:
@@ -173,23 +215,6 @@ class Histogram:
         return out
 
 
-class Timer:
-    """Context manager observing elapsed wall seconds into a histogram."""
-
-    def __init__(self, histogram: Histogram):
-        self.histogram = histogram
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        if self._started is not None:
-            self.histogram.observe(time.perf_counter() - self._started)
-            self._started = None
-
-
 Metric = Any  # Counter | Gauge | Histogram
 
 
@@ -234,10 +259,6 @@ class MetricRegistry:
                   help: str = "") -> Histogram:
         return self._get_or_create(name, HISTOGRAM,
                                    lambda: Histogram(name, buckets, help))
-
-    def timer(self, name: str, buckets: Sequence[float] = (),
-              help: str = "") -> Timer:
-        return Timer(self.histogram(name, buckets, help))
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -353,10 +374,6 @@ def gauge(name: str, help: str = "") -> Gauge:
 def histogram(name: str, buckets: Sequence[float] = (),
               help: str = "") -> Histogram:
     return _DEFAULT.histogram(name, buckets, help)
-
-
-def timer(name: str, buckets: Sequence[float] = (), help: str = "") -> Timer:
-    return _DEFAULT.timer(name, buckets, help)
 
 
 def snapshot() -> Dict[str, Dict[str, Any]]:

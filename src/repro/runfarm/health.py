@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from ..obs import metrics
+
 DEFAULT_INTERVAL_S = 0.25
 # Beats older than this many intervals mean the worker can no longer
 # schedule a Python thread: call it hung, not slow.
@@ -176,8 +178,6 @@ class HealthMonitor:
         longer exists — dead workers' corpses must not masquerade as
         hung workers forever.
         """
-        from ..core import instrument
-
         now = now if now is not None else time.time()
         beats: Dict[str, WorkerBeat] = {}
         if not os.path.isdir(self.heartbeat_dir):
@@ -213,8 +213,7 @@ class HealthMonitor:
             new_beats = seq - self._last_seq.get(pid, -1)
             if new_beats > 0:
                 self.total_beats += new_beats
-                instrument.increment(instrument.RUNFARM_HEARTBEATS,
-                                     new_beats)
+                metrics.counter(metrics.RUNFARM_HEARTBEATS).inc(new_beats)
             self._last_seq[pid] = seq
             beats[str(payload.get("unit", ""))] = WorkerBeat(
                 pid=pid,

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import instrument, trace
+from ..core import trace
 from ..core.executor import (
     ParallelExecutor,
     UnitFailure,
@@ -49,6 +49,7 @@ from ..core.executor import (
     unit_content_key,
 )
 from ..faults.retry import RetryPolicy
+from ..obs import metrics
 from . import manifest as mf
 from .manifest import RunManifest
 
@@ -160,7 +161,7 @@ class RunSupervisor:
                     self.units_completed += 1
                     if key in self.prior_done:
                         self.units_resumed += 1
-                        instrument.increment(instrument.RUNFARM_RESUMED)
+                        metrics.counter(metrics.RUNFARM_RESUMED).inc()
                     self.manifest.record_unit(
                         key, unit.name, mf.CACHED,
                         artifact=store.digest(key))
@@ -219,7 +220,7 @@ class RunSupervisor:
                         error=f"{reason}: {failure.describe()}")
                     quarantined.append(failure)
                     self.units_quarantined += 1
-                    instrument.increment(instrument.RUNFARM_QUARANTINED)
+                    metrics.counter(metrics.RUNFARM_QUARANTINED).inc()
                     logger.error("quarantining poison-pill unit %s (%s)",
                                  failure.unit, reason)
                     if trace.TRACING:
@@ -234,7 +235,7 @@ class RunSupervisor:
                                       kind=failure.kind)
             if retry:
                 self.units_retried += len(retry)
-                instrument.increment(instrument.RUNFARM_RETRIES, len(retry))
+                metrics.counter(metrics.RUNFARM_RETRIES).inc(len(retry))
                 backoff = policy.backoff_s(attempt - 1, self.rng)
                 if policy.max_elapsed_s is not None:
                     budget = policy.max_elapsed_s - (time.monotonic()

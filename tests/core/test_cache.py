@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.core import instrument
+from repro.obs import metrics
 from repro.core.cache import (
     CODE_VERSION,
     ResultCache,
@@ -31,10 +31,10 @@ SEED = 7
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     yield
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
 
 
 class TestCacheKey:
@@ -106,8 +106,8 @@ class TestMemoryLayer:
         store.get(key)
         store.put(key, 1)
         store.get(key)
-        assert instrument.value(instrument.CACHE_MISSES) == 1
-        assert instrument.value(instrument.CACHE_HITS) == 1
+        assert metrics.counter(metrics.CACHE_MISSES).value == 1
+        assert metrics.counter(metrics.CACHE_HITS).value == 1
 
 
 class TestDiskLayer:
@@ -159,17 +159,18 @@ class TestReportContract:
         streams = RandomStreams(SEED)
         first = run_fig4(keys=CHEAP_KEYS, samples=SAMPLES,
                          n_requests=N_REQUESTS, streams=streams)
-        probes_after_first = instrument.value(instrument.PROBES)
-        misses_after_first = instrument.value(instrument.CACHE_MISSES)
+        probes_after_first = metrics.counter(metrics.PROBES).value
+        misses_after_first = metrics.counter(metrics.CACHE_MISSES).value
         assert probes_after_first > 0
         assert misses_after_first == 2 * len(CHEAP_KEYS)
 
         second = run_fig4(keys=CHEAP_KEYS, samples=SAMPLES,
                           n_requests=N_REQUESTS, streams=RandomStreams(SEED))
         # No new probes ran: every operating point came from the cache.
-        assert instrument.value(instrument.PROBES) == probes_after_first
-        assert instrument.value(instrument.CACHE_MISSES) == misses_after_first
-        assert instrument.value(instrument.CACHE_HITS) == 2 * len(CHEAP_KEYS)
+        assert metrics.counter(metrics.PROBES).value == probes_after_first
+        assert (metrics.counter(metrics.CACHE_MISSES).value
+                == misses_after_first)
+        assert metrics.counter(metrics.CACHE_HITS).value == 2 * len(CHEAP_KEYS)
         # And the cached objects are the same objects, not recomputations.
         for a, b in zip(first, second):
             assert a.host is b.host
@@ -206,7 +207,7 @@ class TestCorruptQuarantine:
         cold = ResultCache(cache_dir=str(tmp_path))
         cold.get(key)
         assert cold.stats.corrupt == 1
-        assert instrument.value(instrument.CACHE_CORRUPT) == 1
+        assert metrics.counter(metrics.CACHE_CORRUPT).value == 1
 
     def test_quarantined_key_is_writable_again(self, tmp_path):
         store = ResultCache(cache_dir=str(tmp_path))

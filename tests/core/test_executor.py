@@ -12,7 +12,8 @@ import io
 
 import pytest
 
-from repro.core import instrument, trace
+from repro.core import trace
+from repro.obs import metrics
 from repro.core.cache import ResultCache, cache_key, configure
 from repro.core.executor import (
     ParallelExecutor,
@@ -36,11 +37,11 @@ SEED = 7
 def _fresh_cache():
     """Each test gets an empty in-memory cache and zeroed counters."""
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     trace.disable()
     yield
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     trace.disable()
 
 
@@ -51,8 +52,8 @@ def _square(value):
 
 def _bump_dotted_counters(n):
     """A unit that increments arbitrary dotted-name counters (PR 3)."""
-    instrument.increment("sim.events_fired", n)
-    instrument.increment("custom.widget.count", 2 * n)
+    metrics.counter("sim.events_fired").inc(n)
+    metrics.counter("custom.widget.count").inc(2 * n)
     return n
 
 
@@ -123,11 +124,11 @@ class TestCounterMerging:
         """Worker-side probe counters are shipped back and merged."""
 
         def run(jobs):
-            instrument.reset()
+            metrics.reset()
             run_fig4(keys=CHEAP_KEYS, samples=SAMPLES,
                      n_requests=N_REQUESTS,
                      streams=RandomStreams(SEED), jobs=jobs)
-            return instrument.value(instrument.PROBES)
+            return metrics.counter(metrics.PROBES).value
 
         serial_probes = run(1)
         configure(ResultCache())  # drop cache so jobs=2 recomputes
@@ -141,10 +142,10 @@ class TestCounterMerging:
                           args=(i + 1,)) for i in range(4)]
 
         def run(jobs):
-            instrument.reset()
+            metrics.reset()
             ParallelExecutor(jobs=jobs).map(units)
-            return (instrument.value("sim.events_fired"),
-                    instrument.value("custom.widget.count"))
+            return (metrics.counter("sim.events_fired").value,
+                    metrics.counter("custom.widget.count").value)
 
         assert run(1) == (10, 20)
         assert run(2) == (10, 20)
@@ -152,7 +153,7 @@ class TestCounterMerging:
 
 def _trace_jsonl_for_jobs(jobs):
     """Run a tiny traced fig4 and serialize the buffer to JSONL bytes."""
-    instrument.reset()
+    metrics.reset()
     configure(ResultCache())
     rec = trace.enable(metrics_interval_s=1e-3)
     try:
@@ -236,7 +237,7 @@ class TestSerialBypass:
     def test_single_core_bypasses_pool(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
         executor = ParallelExecutor(jobs=4)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(6)]
@@ -246,7 +247,7 @@ class TestSerialBypass:
     def test_tiny_batches_bypass_after_first_estimate(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 4)
         executor = ParallelExecutor(jobs=2)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(4)]
@@ -261,7 +262,7 @@ class TestSerialBypass:
     def test_knob_disables_bypass(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
         executor = ParallelExecutor(jobs=2, serial_bypass=False)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(4)]
@@ -326,11 +327,12 @@ class TestChunking:
     def test_chunked_counters_merge_exactly(self):
         units = [WorkUnit(name=f"bump{i}", fn=_bump_dotted_counters,
                           args=(i + 1,)) for i in range(10)]
-        instrument.reset()
+        metrics.reset()
         with ParallelExecutor(jobs=2, serial_bypass=False) as executor:
             executor.map(units)
-        assert instrument.value("sim.events_fired") == sum(range(1, 11))
-        assert instrument.value("custom.widget.count") == 2 * sum(range(1, 11))
+        assert metrics.counter("sim.events_fired").value == sum(range(1, 11))
+        assert (metrics.counter("custom.widget.count").value
+                == 2 * sum(range(1, 11)))
 
 
 class TestBrokenPoolRecovery:
@@ -351,11 +353,11 @@ class TestBrokenPoolRecovery:
                 pass
 
         executor._pool = _DeadPool()
-        instrument.reset()
+        metrics.reset()
         try:
             assert executor.map(units) == [1, 2, 3, 4]
             # Counters were merged exactly once (by the serial rerun).
-            assert instrument.value("sim.events_fired") == 10
+            assert metrics.counter("sim.events_fired").value == 10
             assert executor.pool_restarts == 1
             assert executor._pool is None  # dead pool was torn down
         finally:
@@ -410,7 +412,7 @@ class TestMapSupervised:
         assert failure.unit == "hang"
         assert failure.elapsed_s >= 0.2
         assert ok == 9  # the batchmate is unaffected (surgical kill)
-        assert instrument.value(instrument.RUNFARM_TIMEOUTS) == 1
+        assert metrics.counter(metrics.RUNFARM_TIMEOUTS).value == 1
 
     def test_worker_death_surfaces_as_worker_lost(self):
         from repro.core.executor import UnitFailure
@@ -425,7 +427,7 @@ class TestMapSupervised:
         assert isinstance(failure, UnitFailure)
         assert failure.kind == UnitFailure.WORKER_LOST
         assert ok == 16
-        assert instrument.value(instrument.RUNFARM_WORKER_LOST) == 1
+        assert metrics.counter(metrics.RUNFARM_WORKER_LOST).value == 1
 
     def test_raising_unit_surfaces_as_error_record(self):
         from repro.core.executor import UnitFailure
@@ -445,8 +447,8 @@ class TestMapSupervised:
                           args=(i + 1,)) for i in range(3)]
         executor = ParallelExecutor(jobs=2)
         executor.map_supervised(units)
-        assert instrument.value("sim.events_fired") == 6
-        assert instrument.value("custom.widget.count") == 12
+        assert metrics.counter("sim.events_fired").value == 6
+        assert metrics.counter("custom.widget.count").value == 12
 
     def test_unpicklable_units_run_in_process(self):
         from repro.core.executor import UnitFailure

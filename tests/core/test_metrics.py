@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LatencyRecorder, P2Quantile, RunMetrics, ThroughputMeter
+from repro.core import LatencyRecorder, RunMetrics, ThroughputMeter
 
 
 class TestLatencyRecorder:
@@ -67,47 +67,6 @@ class TestThroughputMeter:
         meter = ThroughputMeter()
         assert meter.request_rate(0.0) == 0.0
         assert meter.gbps(0.0) == 0.0
-
-
-class TestP2Quantile:
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_small_sample_exact(self):
-        estimator = P2Quantile(0.5)
-        for v in [3.0, 1.0, 2.0]:
-            estimator.add(v)
-        assert estimator.value() == pytest.approx(2.0)
-
-    def test_empty_is_nan(self):
-        assert np.isnan(P2Quantile(0.5).value())
-
-    def test_median_of_uniform_stream(self):
-        rng = np.random.default_rng(7)
-        estimator = P2Quantile(0.5)
-        data = rng.uniform(0.0, 10.0, size=5000)
-        for v in data:
-            estimator.add(float(v))
-        assert estimator.value() == pytest.approx(np.percentile(data, 50), rel=0.1)
-
-    def test_p99_of_exponential_stream(self):
-        rng = np.random.default_rng(11)
-        estimator = P2Quantile(0.99)
-        data = rng.exponential(1.0, size=20000)
-        for v in data:
-            estimator.add(float(v))
-        assert estimator.value() == pytest.approx(np.percentile(data, 99), rel=0.15)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=6, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_estimate_within_data_range(self, samples):
-        estimator = P2Quantile(0.9)
-        for s in samples:
-            estimator.add(s)
-        assert min(samples) <= estimator.value() <= max(samples)
 
 
 class TestRunMetrics:

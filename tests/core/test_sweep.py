@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import RunMetrics, find_max_sustainable_rate, rate_response_curve
-from repro.core import instrument
+from repro.obs import metrics
 
 
 def make_system(capacity, base_latency=1e-6):
@@ -175,14 +175,14 @@ class TestWarmStart:
         assert warm.max_rate == pytest.approx(cold.max_rate, rel=0.02)
 
     def test_probe_saved_counter_increments(self):
-        before = instrument.value(instrument.PROBES_SAVED)
+        before = metrics.counter(metrics.PROBES_SAVED).value
         self._search(warm_start=self.CAPACITY)
-        assert instrument.value(instrument.PROBES_SAVED) > before
+        assert metrics.counter(metrics.PROBES_SAVED).value > before
 
     def test_cold_search_never_touches_counter(self):
-        before = instrument.value(instrument.PROBES_SAVED)
+        before = metrics.counter(metrics.PROBES_SAVED).value
         self._search()
-        assert instrument.value(instrument.PROBES_SAVED) == before
+        assert metrics.counter(metrics.PROBES_SAVED).value == before
 
     def test_high_estimate_degrades_to_floor_bisection(self):
         # Estimate 5x over capacity: both bracket probes fail, the

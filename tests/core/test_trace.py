@@ -11,16 +11,17 @@ import json
 
 import pytest
 
-from repro.core import instrument, trace
+from repro.core import trace
+from repro.obs import metrics
 
 
 @pytest.fixture(autouse=True)
 def _clean():
     trace.disable()
-    instrument.reset()
+    metrics.reset()
     yield
     trace.disable()
-    instrument.reset()
+    metrics.reset()
 
 
 class TestRecorder:
@@ -40,7 +41,7 @@ class TestRecorder:
         assert rec.appended == 7
         assert rec.dropped == 3
         assert [e.name for e in rec.events()] == ["e3", "e4", "e5", "e6"]
-        assert instrument.value(instrument.TRACE_DROPPED) == 3
+        assert metrics.counter(metrics.TRACE_DROPPED).value == 3
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ class TestDisabledNoOp:
         trace.complete("b", trace.SIM, ts=0.0, dur=1.0)
         trace.counter("c", trace.QUEUE, depth=1)
         assert trace.recorder() is None
-        assert instrument.value(instrument.TRACE_DROPPED) == 0
+        assert metrics.counter(metrics.TRACE_DROPPED).value == 0
 
     def test_export_without_recorder_is_empty(self):
         buffer = io.StringIO()

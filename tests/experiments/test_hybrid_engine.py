@@ -14,7 +14,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import hybrid, instrument
+from repro.core import hybrid
+from repro.obs import metrics as obs_metrics
 from repro.core.rng import RandomStreams
 from repro.experiments import measurement
 from repro.experiments.measurement import (
@@ -46,14 +47,14 @@ def _ladder_rates(profile, platform="host"):
 class TestValidatedLadder:
     def test_fast_path_engages_inside_tolerance(self, profile):
         rates = _ladder_rates(profile)
-        before = instrument.value(instrument.ANALYTIC_HITS)
+        before = obs_metrics.counter(obs_metrics.ANALYTIC_HITS).value
         results = run_validated_ladder(
             profile, "host", rates, RandomStreams(3), N_REQUESTS)
         analytic = [m for m in results if m.extra.get("probe.analytic")]
         # udp:64 is a well-behaved M/G/1 curve: the spot checks agree,
         # so the out-of-window rungs are answered analytically.
         assert analytic
-        assert (instrument.value(instrument.ANALYTIC_HITS) - before
+        assert (obs_metrics.counter(obs_metrics.ANALYTIC_HITS).value - before
                 == len(analytic))
 
     def test_window_rungs_always_simulated(self, profile):
@@ -95,11 +96,11 @@ class TestValidatedLadder:
         monkeypatch.setattr(
             measurement, "predict_fixed_rate", utopian_prediction)
         rates = _ladder_rates(profile)
-        before = instrument.value(instrument.ANALYTIC_HITS)
+        before = obs_metrics.counter(obs_metrics.ANALYTIC_HITS).value
         results = run_validated_ladder(
             profile, "host", rates, RandomStreams(5), N_REQUESTS)
         # No rung trusted the analytic model ...
-        assert instrument.value(instrument.ANALYTIC_HITS) == before
+        assert obs_metrics.counter(obs_metrics.ANALYTIC_HITS).value == before
         assert not any(m.extra.get("probe.analytic") for m in results)
         # ... and the degraded ladder is exactly the plain simulation.
         reference = run_ladder(

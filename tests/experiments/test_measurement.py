@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.calibration import LINE_RATE_GBPS
-from repro.core import instrument
+from repro.obs import metrics as obs_metrics
 from repro.core.rng import RandomStreams
 from repro.experiments.measurement import (
     ACCEL_PLATFORM,
@@ -169,7 +169,7 @@ class TestSweepOperatingRate:
 
     def test_warm_sweep_credits_saved_probes(self):
         profile = get_profile("udp:64", samples=60)
-        before = instrument.value(instrument.PROBES_SAVED)
+        before = obs_metrics.counter(obs_metrics.PROBES_SAVED).value
         sweep_operating_rate(profile, "host", RandomStreams(1),
                              n_requests=self.N_REQUESTS, warm=True)
-        assert instrument.value(instrument.PROBES_SAVED) > before
+        assert obs_metrics.counter(obs_metrics.PROBES_SAVED).value > before

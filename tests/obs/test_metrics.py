@@ -8,7 +8,6 @@ import itertools
 
 import pytest
 
-from repro.core import instrument
 from repro.core.cache import ResultCache, configure
 from repro.core.executor import ParallelExecutor, WorkUnit
 from repro.obs import metrics
@@ -24,10 +23,10 @@ from repro.obs.openmetrics import render
 @pytest.fixture(autouse=True)
 def _fresh_registry():
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     yield
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
 
 
 class TestCounterGauge:
@@ -198,7 +197,7 @@ class TestExecutorIntegration:
         expositions = []
         for jobs in (1, 4):
             metrics.reset()
-            instrument.reset()
+            metrics.reset()
             executor = ParallelExecutor(jobs, serial_bypass=False)
             try:
                 units = [WorkUnit(name=f"obs:{i}", fn=_observing_unit,

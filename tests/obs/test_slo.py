@@ -8,15 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import instrument
 from repro.obs import metrics, slo
 
 
 @pytest.fixture(autouse=True)
 def _fresh_registry():
-    instrument.reset()
+    metrics.reset()
     yield
-    instrument.reset()
+    metrics.reset()
 
 
 def _fig4_rows(udp64_ratio=0.18, udp64_p99=1.5):

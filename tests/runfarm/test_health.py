@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core import instrument
+from repro.obs import metrics
 from repro.runfarm import health
 from repro.runfarm.health import (
     HealthMonitor,
@@ -21,9 +21,9 @@ from repro.runfarm.health import (
 
 @pytest.fixture(autouse=True)
 def _fresh_counters():
-    instrument.reset()
+    metrics.reset()
     yield
-    instrument.reset()
+    metrics.reset()
 
 
 class TestBeatFiles:
@@ -139,8 +139,8 @@ class TestSlowVersusHung:
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=9.0,
                                  interval_s=0.25, alive=True)}
         executor._check_health(self._StubMonitor(beats), {"c": state}, None)
-        assert instrument.value(instrument.RUNFARM_WORKERS_HUNG) == 1
-        assert instrument.value(instrument.RUNFARM_WORKERS_SLOW) == 0
+        assert metrics.counter(metrics.RUNFARM_WORKERS_HUNG).value == 1
+        assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 0
         assert state.reported_slow  # reported once, not every scan
 
     def test_healthy_heartbeat_past_estimate_is_slow(self):
@@ -149,8 +149,8 @@ class TestSlowVersusHung:
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=0.1,
                                  interval_s=0.25, alive=True)}
         executor._check_health(self._StubMonitor(beats), {"c": state}, None)
-        assert instrument.value(instrument.RUNFARM_WORKERS_SLOW) == 1
-        assert instrument.value(instrument.RUNFARM_WORKERS_HUNG) == 0
+        assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 1
+        assert metrics.counter(metrics.RUNFARM_WORKERS_HUNG).value == 0
 
     def test_on_schedule_unit_is_neither(self):
         executor = self._executor_with_estimate(10.0)
@@ -158,8 +158,8 @@ class TestSlowVersusHung:
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=0.1,
                                  interval_s=0.25, alive=True)}
         executor._check_health(self._StubMonitor(beats), {"c": state}, None)
-        assert instrument.value(instrument.RUNFARM_WORKERS_SLOW) == 0
-        assert instrument.value(instrument.RUNFARM_WORKERS_HUNG) == 0
+        assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 0
+        assert metrics.counter(metrics.RUNFARM_WORKERS_HUNG).value == 0
 
     def test_reported_only_once_per_unit(self):
         executor = self._executor_with_estimate(0.1)
@@ -169,7 +169,7 @@ class TestSlowVersusHung:
         monitor = self._StubMonitor(beats)
         executor._check_health(monitor, {"c": state}, None)
         executor._check_health(monitor, {"c": state}, None)
-        assert instrument.value(instrument.RUNFARM_WORKERS_SLOW) == 1
+        assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 1
 
 
 class TestPidReuse:
@@ -250,7 +250,7 @@ class TestHeartbeatThread:
             monitor = HealthMonitor(str(tmp_path))
             monitor.scan()
             assert monitor.total_beats >= 1
-            assert instrument.value(instrument.RUNFARM_HEARTBEATS) >= 1
+            assert metrics.counter(metrics.RUNFARM_HEARTBEATS).value >= 1
         finally:
             stop()
 

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.cli import EXIT_PARTIAL, build_parser, main
-from repro.core import instrument
+from repro.obs import metrics
 from repro.core.cache import ResultCache, configure
 from repro.runfarm import manifest as mf
 from repro.runfarm.manifest import RunManifest
@@ -30,10 +30,10 @@ FIDELITY = ["--samples", "20", "--requests", "600"]
 @pytest.fixture(autouse=True)
 def _fresh_state():
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     yield
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
 
 
 class TestParserFlags:
@@ -189,7 +189,7 @@ class TestChaosInjection:
         assert main(argv + ["--run-dir", str(tmp_path / "run")]) == 0
         chaos = capsys.readouterr()
         assert chaos.out == baseline
-        assert instrument.value(instrument.RUNFARM_WORKER_LOST) > 0
+        assert metrics.counter(metrics.RUNFARM_WORKER_LOST).value > 0
 
 
 class TestQuarantineDegradation:

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.core import instrument
+from repro.obs import metrics
 from repro.core.cache import ResultCache, configure
 from repro.runfarm import manifest as mf
 from repro.runfarm.health import write_beat
@@ -24,10 +24,10 @@ from repro.runfarm.status import collect, render, to_json
 @pytest.fixture(autouse=True)
 def _fresh_state():
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     yield
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
 
 
 def _seed_manifest(run_dir: str) -> RunManifest:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import instrument
+from repro.obs import metrics
 from repro.core.cache import ResultCache, cache_key, configure
 from repro.core.executor import UnitFailure, WorkUnit, map_cached
 from repro.faults.retry import RetryPolicy
@@ -28,10 +28,10 @@ from repro.runfarm.supervisor import (
 @pytest.fixture(autouse=True)
 def _fresh_state():
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
     yield
     configure(ResultCache())
-    instrument.reset()
+    metrics.reset()
 
 
 # Module-level so they pickle for supervised worker processes.
@@ -105,7 +105,7 @@ class TestRunBatch:
         state = RunManifest.load(sup.manifest.path)
         assert state.units[key].status == mf.CACHED
         assert sup.units_resumed == 1
-        assert instrument.value(instrument.RUNFARM_RESUMED) == 1
+        assert metrics.counter(metrics.RUNFARM_RESUMED).value == 1
 
     def test_worker_kill_is_requeued_and_result_correct(self, tmp_path):
         from repro.core.executor import ParallelExecutor
@@ -123,7 +123,7 @@ class TestRunBatch:
                                 ResultCache())
         assert results == [49, 25]
         assert sup.units_retried == 1
-        assert instrument.value(instrument.RUNFARM_WORKER_LOST) == 1
+        assert metrics.counter(metrics.RUNFARM_WORKER_LOST).value == 1
         state = RunManifest.load(sup.manifest.path)
         assert state.units[keys[0]].status == mf.DONE
         assert state.units[keys[0]].attempt == 2
@@ -150,7 +150,7 @@ class TestRunBatch:
         state = RunManifest.load(sup.manifest.path)
         assert state.units[keys[0]].status == mf.QUARANTINED
         assert state.units[keys[1]].status == mf.DONE
-        assert instrument.value(instrument.RUNFARM_QUARANTINED) == 1
+        assert metrics.counter(metrics.RUNFARM_QUARANTINED).value == 1
 
     def test_timeout_quarantine_under_deadline(self, tmp_path):
         from repro.core.executor import ParallelExecutor
@@ -165,7 +165,7 @@ class TestRunBatch:
             sup.run_batch(ParallelExecutor(1), units, keys, ResultCache())
         # Two attempts at ~0.15s each, not 60s of sleeping.
         assert time.monotonic() - started < 10.0
-        assert instrument.value(instrument.RUNFARM_TIMEOUTS) == 2
+        assert metrics.counter(metrics.RUNFARM_TIMEOUTS).value == 2
         state = RunManifest.load(sup.manifest.path)
         assert state.units[keys[0]].status == mf.QUARANTINED
 

@@ -1,5 +1,6 @@
 """Tests for the packet-accurate testbed (eSwitch, PCIe, server assembly)."""
 
+import numpy as np
 import pytest
 
 from repro.core import Simulator
@@ -17,6 +18,7 @@ from repro.testbed import (
     reply_all,
     run_udp_echo_measurement,
 )
+from repro.workloads import pktgen
 
 
 def make_packet(dst_ip=2, payload=b"x" * 64, packet_id=1):
@@ -114,6 +116,27 @@ class TestESwitch:
         assert arrivals[0] == pytest.approx(300e-9 + wire_time)
 
 
+def _drive_echo(sim, server, count):
+    """Echo requests 10 us apart over the wire, answered by the host."""
+    run_udp_echo_measurement(sim, server, "host", count, 10e-6)
+
+
+def _drive_pktgen(sim, server, count):
+    """A paced ``workloads.pktgen`` stream, 10 us apart, into the eSwitch."""
+    sample = pktgen.constant_size_stream(1e5, 64, count,
+                                         np.random.default_rng(0),
+                                         poisson=False)
+
+    def replay():
+        for index, (at, size) in enumerate(zip(sample.arrivals,
+                                               sample.sizes)):
+            yield sim.timeout(at - sim.now)
+            server.receive(make_packet(payload=b"x" * int(size),
+                                       packet_id=index + 1))
+
+    sim.process(replay())
+
+
 class TestSnicServer:
     def test_snic_echo_round_trip(self):
         sim = Simulator()
@@ -136,12 +159,23 @@ class TestSnicServer:
 
         assert measure("host") > measure("snic")
 
-    def test_forwarding_counts(self):
+    @pytest.mark.parametrize("drive", [_drive_echo, _drive_pktgen],
+                             ids=["echo", "pktgen"])
+    def test_forwarding_counts(self, drive):
+        """30 packets 10 us apart offer ten times what one 100 us SNIC
+        core serves: its queue backs up, then drains with every packet
+        carried across the eSwitch, the SNIC and PCIe to the host."""
         sim = Simulator()
-        server = SnicServer(sim, forward_all, consume_all)
-        run_udp_echo_measurement(sim, server, "host", 30, 10e-6)
+        server = SnicServer(sim, forward_all, reply_all,
+                            snic_service_s=100e-6, snic_cores=1)
+        drive(sim, server, 30)
+        sim.run(until=1e-3)
+        assert server.snic.cores.queue_length > 0
+        assert server.snic.stats.handled < 30
         sim.run()
+        assert server.snic.stats.handled == 30
         assert server.snic.stats.forwarded == 30
+        assert server.eswitch.forwarded >= 30
         assert server.host.stats.replied == 30
         assert server.pcie_to_host.transactions == 30
 
