@@ -17,6 +17,7 @@ percentile/throughput metrics as the event-driven path are computed.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -132,6 +133,68 @@ def _seeded_lindley(increments: np.ndarray, initial: float) -> np.ndarray:
 # back to the exact scalar recursion (heavy sustained overload).
 _DROP_BLOCK = 4096
 _DROP_MAX_PASSES = 8
+# Relative slack on the verdict-only bound (see drop_budget_for): far above
+# the float rounding of the served-rate arithmetic, far below any
+# difference a rung verdict can hinge on.
+VERDICT_MARGIN = 1e-9
+
+
+class VerdictOnlyError(RuntimeError):
+    """A measured quantity was read from a verdict-only :class:`Overloaded`."""
+
+
+@dataclass(frozen=True)
+class Overloaded:
+    """A run stopped early because its drops already prove overload.
+
+    Returned instead of a :class:`QueueOutcome` (and, one layer up,
+    instead of a ``RunMetrics``) when the caller passed a served-rate
+    floor and the drops exceeded the :func:`drop_budget_for` it implies.
+    The verdict — the run cannot serve the floor — is exact; nothing
+    else is known.  ``dropped`` is the drop count when the run stopped
+    (a lower bound on the full run's), and reading any other field,
+    latency or throughput alike, raises :class:`VerdictOnlyError`, so a
+    verdict-only result can never leak a number into output.
+    """
+
+    requests: int
+    dropped: int
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        raise VerdictOnlyError(
+            f"{name!r} of a verdict-only run is unknown: it stopped after "
+            f"{self.dropped} of {self.requests} requests dropped")
+
+
+def drop_budget_for(
+    arrivals: np.ndarray, services: np.ndarray, min_served_rate: float
+) -> Optional[int]:
+    """Most drops a bounded-buffer run may see and still serve
+    ``min_served_rate`` (kept requests per second of kept arrival span).
+
+    Let the run have ``n`` arrivals, last arrival ``a_n`` and largest
+    service ``s_max``.  Its last kept arrival ``a_k`` satisfies
+    ``a_k > a_n - s_max``: every later arrival was dropped, so the
+    backlog ``w_k + s_k - (a_n - a_k)`` still exceeded the limit at
+    ``a_n`` while the kept ``w_k`` did not, forcing ``a_n - a_k < s_k``.
+    With ``D`` drops the served rate ``(n - D) / a_k`` is therefore below
+    ``(n - D) / (a_n - s_max)``, and once that bound falls under the
+    floor (less a :data:`VERDICT_MARGIN` of relative slack) no
+    continuation of the run can reach it.  Returns the largest ``D`` for
+    which the bound still allows the floor, or None when ``a_n <= s_max``
+    and the bound says nothing.
+    """
+    n = len(arrivals)
+    if n == 0:
+        return None
+    span = float(arrivals[-1]) - float(np.max(services))
+    if span <= 0.0:
+        return None
+    # D > n - threshold  <=>  (n - D) < threshold.
+    threshold = min_served_rate * (1.0 - VERDICT_MARGIN) * span
+    return math.floor(n - threshold)
 
 
 def bounded_waits_reference(
@@ -162,7 +225,11 @@ def bounded_waits_reference(
     append = waits.append
     for i in range(n):
         arrival = arrival_list[i]
-        backlog = max(0.0, backlog - (arrival - previous))
+        backlog = backlog - (arrival - previous)
+        # Exactly max(0.0, backlog), NaN and -0.0 included (max keeps its
+        # first argument unless the second is strictly greater), without
+        # the builtin call — DESIGN.md §9's exact-clamp rule.
+        backlog = backlog if backlog > 0.0 else 0.0
         previous = arrival
         if backlog > queue_limit:
             continue
@@ -176,7 +243,8 @@ def bounded_waits(
     arrivals: np.ndarray,
     services: np.ndarray,
     queue_limit: float,
-) -> tuple:
+    drop_budget: Optional[int] = None,
+):
     """Vectorized bounded-buffer (queue-limit) drop kernel.
 
     Exact block fixed point: each block's waits are computed with the
@@ -189,7 +257,9 @@ def bounded_waits(
     falls back to the scalar oracle seeded with the exact carry-in, so
     the result always matches ``bounded_waits_reference`` element-wise.
 
-    Returns ``(kept_mask, waits_of_kept)``.
+    Returns ``(kept_mask, waits_of_kept)`` — or, when ``drop_budget`` is
+    given and the drops counted at a block boundary exceed it, an
+    :class:`Overloaded` verdict without simulating the remaining blocks.
     """
     n = len(arrivals)
     if n == 0:
@@ -214,14 +284,18 @@ def bounded_waits(
     waits = np.empty(n)
     backlog = 0.0
     previous = 0.0
+    dropped = 0
     for start in range(0, n, _DROP_BLOCK):
         stop = min(start + _DROP_BLOCK, n)
-        block_arrivals = arrivals[start:stop]
-        block_services = services[start:stop]
+        block_kept = kept[start:stop]
         backlog, previous = _bounded_block(
-            block_arrivals, block_services, queue_limit, backlog, previous,
-            kept[start:stop], waits[start:stop],
+            arrivals[start:stop], services[start:stop], queue_limit,
+            backlog, previous, block_kept, waits[start:stop],
         )
+        if drop_budget is not None:
+            dropped += len(block_kept) - int(np.count_nonzero(block_kept))
+            if dropped > drop_budget:
+                return Overloaded(requests=n, dropped=dropped)
     return kept, waits[kept]
 
 
@@ -336,7 +410,8 @@ def simulate_gg1(
     rng: np.random.Generator,
     arrival_cv: float = 1.0,
     queue_limit: Optional[float] = None,
-) -> QueueOutcome:
+    min_served_rate: Optional[float] = None,
+):
     """Simulate a single FIFO server fed at ``rate`` requests/second.
 
     ``arrival_cv`` selects the arrival process: 0 gives a deterministic
@@ -346,6 +421,11 @@ def simulate_gg1(
     ``queue_limit`` (seconds of backlog) drops requests arriving when the
     unfinished work exceeds the limit — modeling finite NIC/socket buffers
     so overload shows up as loss rather than unbounded latency.
+
+    ``min_served_rate`` (with ``queue_limit``) asks only for a verdict
+    once the run provably cannot serve that rate: the bounded kernel
+    stops at the :func:`drop_budget_for` and the result is
+    :class:`Overloaded`.  The draws consumed are the same either way.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -375,7 +455,13 @@ def simulate_gg1(
     # With a buffer bound we track unfinished work and drop on overflow
     # (vectorized block fixed point; bounded_waits_reference is the
     # retained scalar oracle).
-    kept_mask, waits = bounded_waits(arrivals, services, queue_limit)
+    budget = None
+    if min_served_rate is not None:
+        budget = drop_budget_for(arrivals, services, min_served_rate)
+    result = bounded_waits(arrivals, services, queue_limit, budget)
+    if isinstance(result, Overloaded):
+        return result
+    kept_mask, waits = result
     dropped = int(n_requests - kept_mask.sum())
     if dropped:
         kept = services[kept_mask]
@@ -403,17 +489,21 @@ def simulate_sharded(
     rng: np.random.Generator,
     arrival_cv: float = 1.0,
     queue_limit: Optional[float] = None,
-) -> QueueOutcome:
+    min_served_rate: Optional[float] = None,
+):
     """Simulate one RSS shard of a ``cores``-way packet service.
 
     The shard sees rate/cores arrivals; its latency distribution equals the
     system's (all shards are exchangeable), and system throughput is the
-    shard's times ``cores``.
+    shard's times ``cores``.  ``min_served_rate`` is a *system* rate,
+    shared out like ``rate`` (see :func:`simulate_gg1`).
     """
     if cores < 1:
         raise ValueError("cores must be >= 1")
+    shard_floor = None if min_served_rate is None else min_served_rate / cores
     return simulate_gg1(
-        rate / cores, service_sampler, n_requests, rng, arrival_cv, queue_limit
+        rate / cores, service_sampler, n_requests, rng, arrival_cv, queue_limit,
+        shard_floor,
     )
 
 
@@ -465,6 +555,7 @@ def simulate_gg1_ladder(
     rng: np.random.Generator,
     arrival_cv: float = 1.0,
     queue_limit: Optional[float] = None,
+    min_served_rates=None,
 ) -> list:
     """Simulate a whole rate ladder against one shared set of draws.
 
@@ -475,6 +566,9 @@ def simulate_gg1_ladder(
     per-row bounded-buffer fixed point.  Returns one
     :class:`QueueOutcome` per rate, same semantics as per-rate
     :func:`simulate_gg1` calls (over different, shared, draws).
+    ``min_served_rates`` gives each rung an optional served-rate floor
+    (None entries simulate in full); a rung that provably misses its
+    floor comes back :class:`Overloaded`.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or len(rates) == 0:
@@ -500,8 +594,15 @@ def simulate_gg1_ladder(
                             COMP_SERVICE: services},
             )
         else:
-            kept_mask, kept_waits = bounded_waits(
-                arrivals[row], services, queue_limit)
+            budget = None
+            if min_served_rates is not None and min_served_rates[row] is not None:
+                budget = drop_budget_for(arrivals[row], services,
+                                         min_served_rates[row])
+            result = bounded_waits(arrivals[row], services, queue_limit, budget)
+            if isinstance(result, Overloaded):
+                outcomes.append(result)
+                continue
+            kept_mask, kept_waits = result
             dropped = int(n_requests - kept_mask.sum())
             kept = services[kept_mask] if dropped else services
             kept_arrivals = arrivals[row][kept_mask] if dropped else arrivals[row]
@@ -526,14 +627,21 @@ def simulate_sharded_ladder(
     rng: np.random.Generator,
     arrival_cv: float = 1.0,
     queue_limit: Optional[float] = None,
+    min_served_rates=None,
 ) -> list:
     """Ladder variant of :func:`simulate_sharded`: one shard per rung,
-    every rung sharing the same sampled draws."""
+    every rung sharing the same sampled draws (``min_served_rates`` are
+    system rates, shared out like ``rates``)."""
     if cores < 1:
         raise ValueError("cores must be >= 1")
     shard_rates = np.asarray(rates, dtype=float) / cores
+    shard_floors = None
+    if min_served_rates is not None:
+        shard_floors = [None if floor is None else floor / cores
+                        for floor in min_served_rates]
     return simulate_gg1_ladder(
-        shard_rates, service_sampler, n_requests, rng, arrival_cv, queue_limit
+        shard_rates, service_sampler, n_requests, rng, arrival_cv, queue_limit,
+        shard_floors,
     )
 
 

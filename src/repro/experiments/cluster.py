@@ -22,7 +22,7 @@ on that path at all).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from ..cluster.scenario import ScenarioResult
 from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from ..faults import FaultTimeline, outage_windows, rack_outage, rack_targets
-from ..offload.advisor import FleetPlacement, recommend_fleet
 from ..offload.loadbalancer import FleetOutcome, NodePathConfig, simulate_fleet
 from .measurement import cpu_service_seconds
 from .profiles import get_profile
@@ -44,6 +43,9 @@ from .registry import (
     Fidelity,
     register,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..offload.advisor import FleetPlacement
 
 # (label, mix kind, ecn) — the sweep axis.  Drop-tail incast is the
 # control: same buffers, no marking, recovery by RTO only.
@@ -210,6 +212,10 @@ def run_cluster_study(
     results = executor.map(units)
     topo = TopologySpec(racks=racks, nodes_per_rack=nodes_per_rack,
                         spines=spines, node_profile=node_profile)
+    # Imported here: offload.advisor imports the measurement layer, so a
+    # module-level import is a cycle whenever repro.offload loads first.
+    from ..offload.advisor import recommend_fleet
+
     fleet = tuple(
         recommend_fleet(get_profile(key, samples=samples),
                         FLEET_REQUIRED_RPS, slo_p99=FLEET_SLO_P99_S,

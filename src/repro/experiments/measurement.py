@@ -37,6 +37,7 @@ from ..core.hybrid import TrustRecord
 from ..core.metrics import RunMetrics
 from ..core.queueing import (
     COMP_STACK_RTT,
+    Overloaded,
     outcome_to_metrics,
     simulate_batch_server,
     simulate_batch_server_ladder,
@@ -63,6 +64,9 @@ QUEUE_LIMIT_SERVICES = 8.0
 # the hybrid's trust regions are expressed in the same load factors the
 # pure-simulation ladder probes).
 LADDER_FACTORS = np.geomspace(0.3, 1.45, 12)
+# A knee rung is acceptable while it serves at least this fraction of
+# its offered rate (the paper's "maximum sustainable throughput").
+ACCEPTABLE_SERVED_FRACTION = 0.95
 
 
 class MeasurementError(RuntimeError):
@@ -203,23 +207,50 @@ def run_fixed_rate(
     rate: float,
     streams: RandomStreams,
     n_requests: int = 20_000,
-) -> RunMetrics:
-    """Offer ``rate`` requests/s and measure (the inner loop of a sweep)."""
+    verdict_only: bool = False,
+):
+    """Offer ``rate`` requests/s and measure (the inner loop of a sweep).
+
+    With ``verdict_only`` the caller needs nothing but the rung's
+    acceptability: a CPU run whose drops prove it cannot serve
+    :data:`ACCEPTABLE_SERVED_FRACTION` of ``rate`` stops early and
+    returns :class:`~repro.core.queueing.Overloaded` (DESIGN.md §9).
+    """
     obs_metrics.counter(obs_metrics.PROBES).inc()
     obs_metrics.counter(obs_metrics.PROBES_SIMULATED).inc()
     if not trace.TRACING:
-        return _run_fixed_rate(profile, platform, rate, streams, n_requests)
+        metrics = _run_fixed_rate(profile, platform, rate, streams,
+                                  n_requests, verdict_only)
+        _count_verdicts((metrics,))
+        return metrics
     # Each probe records onto its own sub-track, so its queue-depth
     # series and the probe summary stay grouped in the trace viewer.
     with trace.track(trace.subtrack(f"{profile.key}:{platform}:{rate:.6g}")):
         trace.instant("probe", trace.PROBE, function=profile.key,
                       platform=platform, rate=rate, n_requests=n_requests)
-        metrics = _run_fixed_rate(profile, platform, rate, streams, n_requests)
-        trace.instant("probe.done", trace.PROBE,
-                      completed_rate=metrics.completed_rate,
-                      p99_us=metrics.latency_p99 * 1e6,
-                      dropped=metrics.dropped)
+        metrics = _run_fixed_rate(profile, platform, rate, streams,
+                                  n_requests, verdict_only)
+        _count_verdicts((metrics,))
+        _trace_probe_done(metrics)
         return metrics
+
+
+def _count_verdicts(results) -> None:
+    stopped = sum(isinstance(result, Overloaded) for result in results)
+    if stopped:
+        obs_metrics.counter(obs_metrics.VERDICT_ONLY).inc(stopped)
+
+
+def _trace_probe_done(metrics, **fields) -> None:
+    if isinstance(metrics, Overloaded):
+        # A verdict-only rung has no p99 to show, only its verdict.
+        trace.instant("probe.done", trace.PROBE, verdict="overloaded",
+                      dropped=metrics.dropped, **fields)
+        return
+    trace.instant("probe.done", trace.PROBE, **fields,
+                  completed_rate=metrics.completed_rate,
+                  p99_us=metrics.latency_p99 * 1e6,
+                  dropped=metrics.dropped)
 
 
 def _run_fixed_rate(
@@ -228,7 +259,8 @@ def _run_fixed_rate(
     rate: float,
     streams: RandomStreams,
     n_requests: int,
-) -> RunMetrics:
+    verdict_only: bool = False,
+):
     if platform == ACCEL_PLATFORM:
         return _run_accelerator(profile, rate, streams, n_requests)
     if platform not in CPU_PLATFORMS:
@@ -251,8 +283,11 @@ def _run_fixed_rate(
         return sampler_rng.choice(services, size=n)
 
     outcome = simulate_sharded(
-        effective_rate, cores, sampler, n_requests, rng, queue_limit=queue_limit
+        effective_rate, cores, sampler, n_requests, rng, queue_limit=queue_limit,
+        min_served_rate=_verdict_floor(rate) if verdict_only else None,
     )
+    if isinstance(outcome, Overloaded):
+        return outcome
     outcome = _add_fixed_latency(outcome, profile, platform, rng)
     metrics = outcome_to_metrics(
         outcome, offered_rate=rate, bytes_per_request=profile.wire_bytes, cores=cores
@@ -262,6 +297,11 @@ def _run_fixed_rate(
         metrics.completed_rate = min(metrics.completed_rate, nic_cap)
         metrics.dropped += int((rate - nic_cap) / rate * n_requests)
     return metrics
+
+
+def _verdict_floor(rate: float) -> float:
+    """The completed rate a knee rung offered ``rate`` must reach."""
+    return ACCEPTABLE_SERVED_FRACTION * rate
 
 
 def _add_fixed_latency(outcome, profile, platform, rng):
@@ -360,6 +400,7 @@ def run_ladder(
     rates,
     streams: RandomStreams,
     n_requests: int = 20_000,
+    verdict_only=None,
 ) -> list:
     """Simulate several rates of one (function, platform) in one batch.
 
@@ -367,7 +408,9 @@ def run_ladder(
     service array, one unit-mean interarrival array, and one stack-RTT
     array (drawn from the dedicated ``:ladder`` substream), evaluated by
     the stacked kernels in :mod:`repro.core.queueing`.  Returns one
-    :class:`RunMetrics` per rate, in order.
+    :class:`RunMetrics` per rate, in order.  ``verdict_only`` holds one
+    flag per rate; a flagged rung may come back
+    :class:`~repro.core.queueing.Overloaded` (see :func:`run_fixed_rate`).
     """
     rates = [float(rate) for rate in rates]
     count = len(rates)
@@ -380,20 +423,23 @@ def run_ladder(
         # re-sampling (services + gaps + stack RTT).
         obs_metrics.counter(obs_metrics.SAMPLES_REUSED).inc(count - 1)
     if not trace.TRACING:
-        return _run_ladder(profile, platform, rates, streams, n_requests)
+        metrics = _run_ladder(profile, platform, rates, streams, n_requests,
+                              verdict_only)
+        _count_verdicts(metrics)
+        return metrics
     with trace.track(trace.subtrack(f"{profile.key}:{platform}:ladder")):
         trace.instant("probe.ladder", trace.PROBE, function=profile.key,
                       platform=platform, rungs=count, n_requests=n_requests)
-        metrics = _run_ladder(profile, platform, rates, streams, n_requests)
+        metrics = _run_ladder(profile, platform, rates, streams, n_requests,
+                              verdict_only)
+        _count_verdicts(metrics)
         for rate, rung in zip(rates, metrics):
-            trace.instant("probe.done", trace.PROBE, rate=rate,
-                          completed_rate=rung.completed_rate,
-                          p99_us=rung.latency_p99 * 1e6,
-                          dropped=rung.dropped)
+            _trace_probe_done(rung, rate=rate)
         return metrics
 
 
-def _run_ladder(profile, platform, rates, streams, n_requests) -> list:
+def _run_ladder(profile, platform, rates, streams, n_requests,
+                verdict_only=None) -> list:
     if platform == ACCEL_PLATFORM:
         return _run_accelerator_ladder(profile, rates, streams, n_requests)
     if platform not in CPU_PLATFORMS:
@@ -410,12 +456,20 @@ def _run_ladder(profile, platform, rates, streams, n_requests) -> list:
     def sampler(sampler_rng: np.random.Generator, n: int) -> np.ndarray:
         return sampler_rng.choice(services, size=n)
 
+    floors = None
+    if verdict_only is not None:
+        floors = [_verdict_floor(rate) if flag else None
+                  for rate, flag in zip(rates, verdict_only)]
     outcomes = simulate_sharded_ladder(
-        effective, cores, sampler, n_requests, rng, queue_limit=queue_limit
+        effective, cores, sampler, n_requests, rng, queue_limit=queue_limit,
+        min_served_rates=floors,
     )
     rtt = _shared_rtt(profile, platform, rng, n_requests)
     results = []
     for rate, outcome in zip(rates, outcomes):
+        if isinstance(outcome, Overloaded):
+            results.append(outcome)
+            continue
         outcome.add_component(COMP_STACK_RTT, rtt[: len(outcome.sojourns)])
         metrics = outcome_to_metrics(
             outcome, offered_rate=rate,
@@ -786,10 +840,12 @@ def measure_operating_point(
     )
 
 
-def _rung_acceptable(metrics: RunMetrics, rate: float,
+def _rung_acceptable(metrics, rate: float,
                      slo_p99: Optional[float]) -> bool:
+    if isinstance(metrics, Overloaded):
+        return False  # its drops already proved it misses the floor
     served_fraction = metrics.completed_rate / rate if rate > 0 else 1.0
-    acceptable = served_fraction >= 0.95
+    acceptable = served_fraction >= ACCEPTABLE_SERVED_FRACTION
     if slo_p99 is not None and metrics.latency_p99 > slo_p99:
         acceptable = False
     return acceptable
@@ -815,9 +871,14 @@ def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
 
 def _knee_sim(profile, platform, ladder, streams, n_requests,
               slo_p99) -> float:
-    """Legacy knee search: every rung is its own simulation."""
+    """Legacy knee search: every rung is its own simulation.
+
+    Only the rungs' verdicts and acceptable rungs' completed rates are
+    read, so every rung runs verdict-only.
+    """
     rung_metrics = [
-        run_fixed_rate(profile, platform, float(rate), streams, n_requests)
+        run_fixed_rate(profile, platform, float(rate), streams, n_requests,
+                       verdict_only=True)
         for rate in ladder
     ]
     return _select_knee(ladder, rung_metrics, slo_p99)
@@ -893,6 +954,10 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         sim_idx = [int(np.argmin(np.abs(factors - 1.0)))]
 
     simulated: Dict[int, RunMetrics] = {}
+    # Every rung feeds only its verdict (and, when acceptable, its
+    # completed rate) into the knee — except the low window edge of an
+    # edge-validation pass, whose p99 goes into the TrustRecord.
+    full_index = min(sim_idx) if record is None else None
 
     def simulate(indices) -> None:
         indices = [i for i in indices if i not in simulated]
@@ -901,7 +966,8 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         for index, metrics in zip(
                 indices,
                 run_ladder(profile, platform, [float(ladder[i]) for i in indices],
-                           streams, n_requests)):
+                           streams, n_requests,
+                           verdict_only=[i != full_index for i in indices])):
             simulated[index] = metrics
 
     simulate(sim_idx)

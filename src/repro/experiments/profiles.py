@@ -80,7 +80,6 @@ class FunctionProfile:
 
 
 def _rng(key: str) -> np.random.Generator:
-    seeds = {"profile": 0xACE5}
     mixed = 0xACE5
     for ch in key:
         mixed = (mixed * 131 + ord(ch)) & 0x7FFFFFFF
@@ -148,8 +147,8 @@ def _profile_redis(workload: str, samples: int) -> FunctionProfile:
     spec = ycsb.WORKLOADS[workload]
     rng = _rng(f"redis:{workload}")
     store = KeyValueStore()
-    for operation in ycsb.load_phase(spec, rng):
-        store.set(operation.key, operation.value)
+    store.load((operation.key, operation.value)
+               for operation in ycsb.load_phase(spec, rng))
     work_samples: List[WorkUnits] = []
     wire_total = 0.0
     operations = list(ycsb.run_phase(spec, rng))[:samples]
@@ -266,8 +265,7 @@ def _profile_mica(batch_label: str, samples: int) -> FunctionProfile:
     store = mica_mod.MicaStore(partitions=8)
     keys = [b"mica-%07d" % i for i in range(20_000)]
     value = bytes(rng.integers(0, 256, size=256, dtype=np.uint8))
-    for key in keys:
-        store.put(key, value)
+    store.put_many((key, value) for key in keys)
     zipf = ycsb.ZipfianGenerator(len(keys), rng)
     # A 32 x 256 B batch scatters reads across the partition logs far
     # beyond the A72's small caches while still fitting the host LLC —

@@ -78,27 +78,42 @@ def canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
 
 
 class BitWriter:
+    """MSB-first bit packer.
+
+    Whole bytes go straight to the output; the fewer than 8 bits still
+    pending live in one int, so a write costs a shift, an or and at most
+    one ``to_bytes`` instead of a loop over its bits.
+    """
+
     def __init__(self):
         self._bytes = bytearray()
-        self._bit_position = 0
+        self._pending = 0  # value of the pending bits
+        self._pending_bits = 0  # how many (always < 8)
 
     def write(self, code: int, length: int) -> None:
-        for shift in range(length - 1, -1, -1):
-            bit = (code >> shift) & 1
-            if self._bit_position == 0:
-                self._bytes.append(0)
-            if bit:
-                self._bytes[-1] |= 1 << (7 - self._bit_position)
-            self._bit_position = (self._bit_position + 1) % 8
+        """Append the low ``length`` bits of ``code``, most significant first."""
+        if length <= 0:
+            return
+        pending = (self._pending << length) | (code & ((1 << length) - 1))
+        bits = self._pending_bits + length
+        if bits >= 8:
+            rest = bits & 7
+            self._bytes += (pending >> rest).to_bytes(bits >> 3, "big")
+            pending &= (1 << rest) - 1
+            bits = rest
+        self._pending = pending
+        self._pending_bits = bits
 
     def getvalue(self) -> bytes:
-        return bytes(self._bytes)
+        if not self._pending_bits:
+            return bytes(self._bytes)
+        # The last byte is zero-padded on the right.
+        tail = self._pending << (8 - self._pending_bits)
+        return bytes(self._bytes) + bytes((tail,))
 
     @property
     def bit_length(self) -> int:
-        if not self._bytes:
-            return 0
-        return (len(self._bytes) - 1) * 8 + (self._bit_position or 8)
+        return len(self._bytes) * 8 + self._pending_bits
 
 
 class BitReader:

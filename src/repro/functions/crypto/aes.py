@@ -63,6 +63,12 @@ def _mul(a: int, b: int) -> int:
     return result
 
 
+# GF(2^8) doubling and tripling tables for MixColumns: one list index
+# per product instead of a shift-and-add loop (same bytes as ``_mul``).
+_MUL2 = [_mul(_b, 2) for _b in range(256)]
+_MUL3 = [_mul(_b, 3) for _b in range(256)]
+
+
 def expand_key(key: bytes) -> List[List[int]]:
     """AES-128 key schedule: 11 round keys of 16 bytes each."""
     if len(key) != 16:
@@ -111,12 +117,13 @@ def _inv_shift_rows(state: List[int]) -> None:
 
 
 def _mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = _mul(col[0], 2) ^ _mul(col[1], 3) ^ col[2] ^ col[3]
-        state[4 * c + 1] = col[0] ^ _mul(col[1], 2) ^ _mul(col[2], 3) ^ col[3]
-        state[4 * c + 2] = col[0] ^ col[1] ^ _mul(col[2], 2) ^ _mul(col[3], 3)
-        state[4 * c + 3] = _mul(col[0], 3) ^ col[1] ^ col[2] ^ _mul(col[3], 2)
+    mul2, mul3 = _MUL2, _MUL3
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = state[c : c + 4]
+        state[c + 0] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3
+        state[c + 1] = a0 ^ mul2[a1] ^ mul3[a2] ^ a3
+        state[c + 2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3]
+        state[c + 3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3]
 
 
 def _inv_mix_columns(state: List[int]) -> None:

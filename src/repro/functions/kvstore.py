@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.work import WorkUnits
 
@@ -115,6 +115,36 @@ class KeyValueStore:
         return WorkUnits(
             {"kv_op": 1.0, "hash_probe": 1.0, "kv_value_byte": float(len(value))}
         )
+
+    def load(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Bulk :meth:`set` of ``(key, value)`` pairs with no TTL (a YCSB
+        load phase); returns how many were written.
+
+        Leaves exactly the entries, LRU order, stats and ``memory_used``
+        that one ``set`` per pair would, without building a WorkUnits per
+        pair.  A store with a ``maxmemory`` budget takes the per-pair path,
+        since every write may evict.
+        """
+        if self.max_memory_bytes is not None:
+            count = 0
+            for key, value in pairs:
+                self.set(key, value)
+                count += 1
+            return count
+        data = self._data
+        size = self._entry_size
+        memory = self._memory_used
+        count = 0
+        for key, value in pairs:
+            previous = data.pop(key, None)
+            if previous is not None:
+                memory -= size(key, previous.value)
+            data[key] = _Entry(value)
+            memory += size(key, value)
+            count += 1
+        self._memory_used = memory
+        self.stats.sets += count
+        return count
 
     def get(self, key: bytes, now: float = 0.0) -> Tuple[Optional[bytes], WorkUnits]:
         self.stats.gets += 1

@@ -19,26 +19,70 @@ by the experiment layer (one RDMA message per batch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.work import WorkUnits
 
 BUCKET_SLOTS = 8
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MIX1 = 0xFF51AFD7ED558CCD
+_MIX2 = 0xC4CEB9FE1A85EC53
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
 
 def _hash64(key: bytes) -> int:
-    value = 0xCBF29CE484222325
+    value = _FNV_OFFSET
     for byte in key:
         value ^= byte
-        value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        value = (value * _FNV_PRIME) & _MASK64
     # murmur-style finalizer: FNV alone leaves the high bits poorly mixed
     # for short, similar keys, which would collapse tags into collisions.
     value ^= value >> 33
-    value = (value * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
+    value = (value * _MIX1) & _MASK64
     value ^= value >> 33
-    value = (value * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
+    value = (value * _MIX2) & _MASK64
     value ^= value >> 33
     return value
+
+
+def _hash64_many(keys: Sequence[bytes]) -> List[int]:
+    """:func:`_hash64` of every key in one numpy ``uint64`` pass.
+
+    uint64 arithmetic wraps modulo 2**64, which is exactly the masking
+    of the scalar version, so the hashes are identical.  Byte column j
+    only updates keys longer than j.
+    """
+    count = len(keys)
+    if count == 0:
+        return []
+    lengths = np.fromiter(map(len, keys), dtype=np.intp, count=count)
+    width = int(lengths.max())
+    flat = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    if int(lengths.min()) == width:
+        table = flat.reshape(count, width)
+    else:
+        table = np.zeros((count, width), dtype=np.uint8)
+        starts = np.cumsum(lengths) - lengths
+        rows = np.repeat(np.arange(count), lengths)
+        table[rows, np.arange(len(flat)) - np.repeat(starts, lengths)] = flat
+    value = np.full(count, _FNV_OFFSET, dtype=np.uint64)
+    for column in range(width):
+        live = lengths > column
+        if live.all():
+            value = (value ^ table[:, column]) * np.uint64(_FNV_PRIME)
+        else:
+            value[live] = (value[live] ^ table[live, column]) * np.uint64(_FNV_PRIME)
+    shift = np.uint64(33)
+    value ^= value >> shift
+    value *= np.uint64(_MIX1)
+    value ^= value >> shift
+    value *= np.uint64(_MIX2)
+    value ^= value >> shift
+    return value.tolist()
 
 
 @dataclass
@@ -91,14 +135,39 @@ class MicaStore:
         self.evictions = 0
 
     def _locate(self, key: bytes) -> Tuple[_Partition, int, int]:
-        h = _hash64(key)
+        return self._place(_hash64(key))
+
+    def _place(self, h: int) -> Tuple[_Partition, int, int]:
         partition = self.partitions[h % len(self.partitions)]
         bucket_index = (h >> 16) % len(partition.buckets)
         tag = (h >> 48) & 0xFFFF
         return partition, bucket_index, tag
 
     def put(self, key: bytes, value: bytes) -> WorkUnits:
-        partition, bucket_index, tag = self._locate(key)
+        self._insert(key, value, *self._locate(key))
+        return WorkUnits(
+            {
+                "hash_probe": 1.0,
+                "mem_random_access": 1.0,
+                "kv_value_byte": float(len(value)),
+            }
+        )
+
+    def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Bulk :meth:`put` in order (a load phase); returns the count.
+
+        Hashes every key in one vectorized pass (:func:`_hash64_many`)
+        and builds no per-put WorkUnits; the logs, buckets and evictions
+        end exactly as one ``put`` per pair leaves them.
+        """
+        pairs = list(pairs)
+        hashes = _hash64_many([key for key, _ in pairs])
+        for (key, value), h in zip(pairs, hashes):
+            self._insert(key, value, *self._place(h))
+        return len(pairs)
+
+    def _insert(self, key: bytes, value: bytes, partition: _Partition,
+                bucket_index: int, tag: int) -> None:
         offset = partition._append(key, value)
         bucket = partition.buckets[bucket_index]
         for slot in bucket:
@@ -110,13 +179,6 @@ class MicaStore:
                 bucket.pop(0)  # lossy eviction of the oldest slot
                 self.evictions += 1
             bucket.append(_Slot(tag, offset))
-        return WorkUnits(
-            {
-                "hash_probe": 1.0,
-                "mem_random_access": 1.0,
-                "kv_value_byte": float(len(value)),
-            }
-        )
 
     def get(self, key: bytes) -> Tuple[Optional[bytes], WorkUnits]:
         partition, bucket_index, tag = self._locate(key)

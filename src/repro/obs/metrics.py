@@ -59,6 +59,10 @@ PROBES_SAVED = "probe.saved"
 # sibling rung's sampled service/interarrival/RTT arrays instead of
 # drawing fresh ones.
 PROBES_SIMULATED = "probe.simulated"
+# Simulated knee rungs stopped early because their drops already proved
+# them unacceptable (DESIGN.md §9 "verdict-only rungs"); a subset of
+# PROBES_SIMULATED.
+VERDICT_ONLY = "probe.verdict_only"
 ANALYTIC_HITS = "analytic.hits"
 SAMPLES_REUSED = "probe.samples_reused"
 CACHE_HITS = "cache_hits"

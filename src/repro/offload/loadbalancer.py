@@ -149,7 +149,6 @@ def _run_policy(
 
     snic_backlog = 0.0
     host_backlog = 0.0
-    history: list = []  # (time, observed backlog) for delayed observation
     latencies = np.empty(n_packets)
     routes = np.full(n_packets, ROUTE_DROP, dtype=np.int8)
     kept = 0
@@ -172,24 +171,35 @@ def _run_policy(
     host_queue_limit = config.host_queue_limit_s
     reaction_delay = config.reaction_delay_s
     monitor_cost = config.monitor_cost_s
+    # Delayed observation: ``visible[i]`` is what packet i's arrival
+    # showed the policy, and ``oldest`` the latest packet at least
+    # ``reaction_delay`` old (it only moves forward), so the observed
+    # backlog is ``visible[oldest]`` — 0.0 until one is that old.
+    visible = [0.0] * n_packets
+    oldest = 0
 
+    # ``x if x > 0.0 else 0.0`` is exactly max(0.0, x), NaN and -0.0
+    # included, without the builtin call (DESIGN.md §9).
     for index in range(n_packets):
         now = arrival_list[index]
         elapsed = now - previous
         previous = now
 
         if snic_health is None:
-            snic_backlog = max(0.0, snic_backlog - elapsed)
+            snic_backlog = snic_backlog - elapsed
+            snic_backlog = snic_backlog if snic_backlog > 0.0 else 0.0
             head_delay = 0.0
             factor = 1.0
         else:
             available = h_avail_list[index]
             # A dead path does not drain its queue.
             if available:
-                snic_backlog = max(0.0, snic_backlog - elapsed)
+                snic_backlog = snic_backlog - elapsed
+                snic_backlog = snic_backlog if snic_backlog > 0.0 else 0.0
             head_delay = 0.0 if available else h_until_list[index] - now
             factor = h_factor_list[index] if available else 1.0
-        host_backlog = max(0.0, host_backlog - elapsed)
+        host_backlog = host_backlog - elapsed
+        host_backlog = host_backlog if host_backlog > 0.0 else 0.0
 
         # Monitoring happens on the SNIC CPU for every packet.
         snic_backlog += monitor_effective
@@ -200,13 +210,11 @@ def _run_policy(
         snic_visible = snic_backlog + head_delay
 
         if reaction_delay > 0.0:
-            history.append((now, snic_visible))
+            visible[index] = snic_visible
             cutoff = now - reaction_delay
-            observed = 0.0
-            while len(history) > 1 and history[1][0] <= cutoff:
-                history.pop(0)
-            if history and history[0][0] <= cutoff:
-                observed = history[0][1]
+            while oldest < index and arrival_list[oldest + 1] <= cutoff:
+                oldest += 1
+            observed = visible[oldest] if arrival_list[oldest] <= cutoff else 0.0
         else:
             observed = snic_visible
 
