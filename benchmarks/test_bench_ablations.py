@@ -9,7 +9,8 @@ from conftest import run_once
 
 from repro.core.rng import RandomStreams
 from repro.core.queueing import outcome_to_metrics, simulate_batch_server
-from repro.experiments import get_profile, run_fixed_rate
+from repro.experiments.measurement import run_fixed_rate
+from repro.experiments.profiles import get_profile
 from repro.experiments.measurement import ACCEL_PLATFORM, measure_operating_point
 from repro.offload import hardware_balancer, simulate_balancer, snic_cpu_balancer
 

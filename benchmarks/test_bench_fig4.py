@@ -10,7 +10,7 @@ from repro.obs import metrics
 from repro.core.cache import ResultCache, configure
 from repro.core.executor import ParallelExecutor, usable_cpu_count
 from repro.core.rng import RandomStreams
-from repro.experiments import format_fig4, run_fig4
+from repro.experiments.fig4 import format_fig4, run_fig4
 
 PAPER_NOTES = """
 paper Fig. 4 anchors:

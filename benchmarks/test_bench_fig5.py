@@ -2,7 +2,7 @@
 
 from conftest import run_once
 
-from repro.experiments import format_fig5, run_fig5
+from repro.experiments.fig5 import format_fig5, run_fig5
 
 PAPER_NOTES = """
 paper Fig. 5 anchors (MTU packets):

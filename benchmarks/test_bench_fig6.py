@@ -2,7 +2,7 @@
 
 from conftest import N_REQUESTS, SAMPLES, run_once
 
-from repro.experiments import format_fig6, run_fig6
+from repro.experiments.fig6 import format_fig6, run_fig6
 
 PAPER_NOTES = """
 paper Fig. 6 anchors:

@@ -4,13 +4,9 @@ Table 5 (TCO)."""
 from conftest import run_once
 
 from repro.analysis.tco import format_comparison
-from repro.experiments import (
-    format_fig7,
-    format_table4,
-    run_fig7,
-    run_table4,
-    run_table5,
-)
+from repro.experiments.fig7 import format_fig7, run_fig7
+from repro.experiments.table4 import format_table4, run_table4
+from repro.experiments.table5 import run_table5
 
 
 def test_fig7(benchmark):

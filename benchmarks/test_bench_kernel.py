@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from conftest import _RECORDS, mean_seconds, record_bench
 
-from repro.core import Resource, Simulator
+from repro.core.engine import Simulator
+from repro.core.resources import Resource
 from repro.core import trace
 from repro.obs import metrics
 from repro.core.queueing import (

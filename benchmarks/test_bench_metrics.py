@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from conftest import _RECORDS, mean_seconds, record_bench
 
-from repro.core import Resource, Simulator
+from repro.core.engine import Simulator
+from repro.core.resources import Resource
 from repro.obs import metrics
 
 

@@ -15,7 +15,7 @@ Usage::
 
 import numpy as np
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.functions.regex.rulesets import load_ruleset
 from repro.functions.snort import IntrusionDetector, PacketMeta
 from repro.netstack import DuplexChannel, UdpEndpoint, ip

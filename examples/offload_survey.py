@@ -14,7 +14,8 @@ Usage::
 import sys
 
 from repro.core.rng import RandomStreams
-from repro.experiments import get_profile, run_fig4
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.profiles import get_profile
 from repro.offload import recommend
 
 PORTFOLIO = (

@@ -16,7 +16,8 @@ Try e.g. ``redis:a``, ``crypto:sha1``, ``compression:txt``, ``fio:read``.
 import sys
 
 from repro.core.rng import RandomStreams
-from repro.experiments import get_profile, measure_operating_point
+from repro.experiments.measurement import measure_operating_point
+from repro.experiments.profiles import get_profile
 from repro.experiments.fig4 import snic_platform_for
 
 

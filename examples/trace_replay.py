@@ -17,7 +17,8 @@ Usage::
 
 from repro.analysis.tco import compare, format_comparison
 from repro.core.rng import RandomStreams
-from repro.experiments import format_fig7, format_table4, run_fig7, run_table4
+from repro.experiments.fig7 import format_fig7, run_fig7
+from repro.experiments.table4 import format_table4, run_table4
 
 
 def main() -> None:

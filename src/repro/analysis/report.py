@@ -16,7 +16,9 @@ from ..core.rng import RandomStreams
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.executor import ParallelExecutor
     from ..experiments.registry import ExperimentContext
-from ..experiments import format_cluster, format_faults, format_verdicts
+from ..experiments.cluster import format_cluster
+from ..experiments.faults import format_faults
+from ..experiments.observations import format_verdicts
 from .attribution import format_attribution_markdown
 from .attribution import rows_from_fig4 as attribution_rows_from_fig4
 from .tco import format_comparison

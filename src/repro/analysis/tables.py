@@ -95,7 +95,6 @@ def _register() -> None:
 
     register(Experiment(
         name="tables",
-        title="Tables 1-3: hardware and benchmark configuration",
         description="the paper's descriptive tables regenerated from the "
                     "spec records and the profile catalog",
         runner=lambda ctx: format_all_tables(),

@@ -14,12 +14,13 @@ Usage::
     python -m repro trace fig4 --smoke   # flight-recorder trace of a run
 
 Every experiment verb is a generic walk over the experiment registry
-(:mod:`repro.experiments.registry`): the verb list, ``--csv`` support,
-``--smoke`` fidelity, ``--json`` artifact export, and dependency
-resolution (fig6 reuses fig4's rows, table5 reuses table4) all derive
-from the registered :class:`Experiment` specs — registering a new spec
-is all it takes to get a verb here, a section in the smoke matrix, and
-a JSON artifact schema.
+(:mod:`repro.experiments.registry`): the verb list and help lines come
+from its table, which names each verb's module without importing it;
+``--csv`` support, ``--smoke`` fidelity, ``--json`` artifact export, and
+dependency resolution (fig6 reuses fig4's rows, table5 reuses table4)
+derive from the registered :class:`Experiment` specs — a table row plus
+its spec is all it takes to get a verb here, a section in the smoke
+matrix, and a JSON artifact schema.
 
 Any verb takes ``--trace`` (record the run into the flight recorder and
 write ``trace.jsonl`` + Chrome ``trace.json`` on exit), ``--trace-dir``
@@ -59,13 +60,9 @@ import logging
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .analysis.report import generate_report
 from .core import hybrid, trace
-from .core.cache import CODE_VERSION, ResultCache, configure
-from .core.executor import ParallelExecutor
-from .core.rng import RandomStreams
 from .experiments import registry
 from .experiments.registry import (
     DEFAULT_TIER,
@@ -73,15 +70,16 @@ from .experiments.registry import (
     ExperimentContext,
     PartialResult,
 )
-from .faults.retry import RetryPolicy
 from .obs import metrics as obs_metrics
-from .runfarm import (
-    QuarantinedUnitError,
-    RunManifest,
-    SupervisedExecutor,
-    SupervisorConfig,
-)
-from .runfarm.supervisor import DEFAULT_RETRY, load_prior_done
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .core.executor import ParallelExecutor
+
+# Import rule: parsing the command line loads only the modules above
+# (the standard library, the registry and three small leaf modules).
+# Everything a verb runs is imported where the verb is dispatched, and
+# only on the path that uses it -- never inside per-probe or per-event
+# code.
 
 # A supervised run that finished with quarantined poison-pill units:
 # every healthy unit completed (and is journaled + stored for resume),
@@ -201,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     # One verb per registered experiment, in the paper's artifact order.
-    for spec in registry.all_experiments():
-        _mirror_common(sub.add_parser(spec.name, help=spec.title))
+    for name in registry.names():
+        _mirror_common(sub.add_parser(name, help=registry.title(name)))
     report = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     report.add_argument("-o", "--output", default=None,
                         help="write to a file instead of stdout")
@@ -314,6 +312,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "(--resume already names the run directory)")
     _configure_logging(args.log_level)
     obs_metrics.reset()
+    from .core.cache import ResultCache, configure
+    from .core.executor import ParallelExecutor, QuarantinedUnitError
+    from .core.rng import RandomStreams
+
     # Run-farm supervision activates when any runfarm flag is given;
     # --resume additionally adopts the original run's fidelity so the
     # resumed output is byte-identical.  Must run before the cache is
@@ -404,6 +406,16 @@ def _setup_runfarm(args, parser) -> ParallelExecutor:
     result cache at the run's artifact store unless ``--cache-dir`` was
     given explicitly.
     """
+    from .core.cache import CODE_VERSION
+    from .faults.retry import RetryPolicy
+    from .runfarm.manifest import RunManifest
+    from .runfarm.supervisor import (
+        DEFAULT_RETRY,
+        SupervisedExecutor,
+        SupervisorConfig,
+        load_prior_done,
+    )
+
     if args.resume:
         manifest_path = args.resume
         if os.path.isdir(manifest_path):
@@ -495,8 +507,9 @@ def _print_footer(started: float,
         f"kernel {counters.get(obs_metrics.EVENTS_SCHEDULED, 0)} sched / "
         f"{counters.get(obs_metrics.EVENTS_FIRED, 0)} fired",
     ]
-    if isinstance(executor, SupervisedExecutor):
-        parts.append(executor.summary())
+    summary = getattr(executor, "summary", None)
+    if summary is not None:  # a supervised run's run-farm health
+        parts.append(summary())
     # Every other non-zero counter, in sorted (stable) order, so new
     # subsystems surface in the footer without bespoke formatting.
     shown = {obs_metrics.PROBES, obs_metrics.PROBES_SIMULATED,
@@ -556,6 +569,8 @@ def _dispatch(args, streams, executor) -> int:
         engine=args.engine,
     )
     if args.command == "report":
+        from .analysis.report import generate_report
+
         text = generate_report(samples=args.samples, n_requests=args.requests,
                                streams=streams, executor=executor, ctx=ctx)
         if args.output:
@@ -565,6 +580,8 @@ def _dispatch(args, streams, executor) -> int:
         else:
             print(text)
         return 0
+
+    from .core.executor import QuarantinedUnitError
 
     name = _experiment_name(args)
     spec = registry.get(name)

@@ -89,6 +89,32 @@ class UnitFailure:
                 f"(attempt {self.attempt}){detail}")
 
 
+class QuarantinedUnitError(RuntimeError):
+    """A batch finished but some units were quarantined as poison pills.
+
+    Raised by the run-farm supervisor after the *whole batch* has been
+    driven to completion — every healthy unit's result is computed and
+    stored before this surfaces, so a resume (or a partial-results
+    verdict) has maximal progress to build on.  It lives here, beside
+    :class:`UnitFailure`, so code that must catch it (the CLI) need not
+    import the run farm when no run is supervised.
+    """
+
+    def __init__(self, failures: Sequence[UnitFailure], total: int):
+        self.failures = list(failures)
+        self.total = total
+        names = ", ".join(f.unit for f in self.failures[:5])
+        more = "" if len(self.failures) <= 5 else (
+            f" (+{len(self.failures) - 5} more)")
+        super().__init__(
+            f"{len(self.failures)}/{total} units quarantined after "
+            f"exhausting attempts: {names}{more}"
+        )
+
+    def quarantined_units(self) -> List[str]:
+        return [f.unit for f in self.failures]
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One independent, pure, picklable piece of work.

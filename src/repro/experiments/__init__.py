@@ -3,106 +3,6 @@
 Each module registers a declarative :class:`~repro.experiments.registry.
 Experiment` spec at import time; the CLI, the report generator, the CI
 smoke matrix, and the exporters are generic walks over that registry.
+:data:`~repro.experiments.registry.TABLE` names the module of every verb,
+so importing this package loads none of them.
 """
-
-from .registry import (
-    Experiment,
-    ExperimentContext,
-    Fidelity,
-    register,
-    smoke_tier,
-)
-from .fig4 import FIG4_KEYS, Fig4Row, format_fig4, run_fig4
-from .fig5 import Fig5Series, format_fig5, run_fig5
-from .fig6 import Fig6Row, format_fig6, rows_from_fig4, run_fig6
-from .fig7 import Fig7Result, format_fig7, run_fig7
-from .measurement import (
-    ACCEL_PLATFORM,
-    OperatingPoint,
-    measure_operating_point,
-    run_fixed_rate,
-)
-from .observations import (
-    Verdict,
-    format_verdicts,
-    observation_1,
-    observation_2,
-    observation_3,
-    observation_4,
-    observation_5,
-)
-from .faults import (
-    FaultStudyResult,
-    FunctionFaultReport,
-    ScenarioResult,
-    format_faults,
-    run_faults_study,
-)
-from .cluster import (
-    ClusterStudy,
-    SingleNodeReduction,
-    format_cluster,
-    run_cluster_study,
-)
-from .profiles import ALL_PROFILE_KEYS, FunctionProfile, get_profile
-from .modes import format_mode_study, run_mode_study
-from .sensitivity import format_sensitivity, run_sensitivity
-from .strategy1 import format_strategy1, run_strategy1
-from .table4 import Table4Result, format_table4, run_table4
-from .table5 import Table5Result, run_table5
-
-__all__ = [
-    "FIG4_KEYS",
-    "Fig4Row",
-    "format_fig4",
-    "run_fig4",
-    "Fig5Series",
-    "format_fig5",
-    "run_fig5",
-    "Fig6Row",
-    "format_fig6",
-    "rows_from_fig4",
-    "run_fig6",
-    "Fig7Result",
-    "format_fig7",
-    "run_fig7",
-    "ACCEL_PLATFORM",
-    "OperatingPoint",
-    "measure_operating_point",
-    "run_fixed_rate",
-    "Verdict",
-    "format_verdicts",
-    "observation_1",
-    "observation_2",
-    "observation_3",
-    "observation_4",
-    "observation_5",
-    "ALL_PROFILE_KEYS",
-    "FunctionProfile",
-    "get_profile",
-    "Table4Result",
-    "format_table4",
-    "run_table4",
-    "Table5Result",
-    "run_table5",
-    "format_mode_study",
-    "run_mode_study",
-    "format_sensitivity",
-    "run_sensitivity",
-    "format_strategy1",
-    "run_strategy1",
-    "FaultStudyResult",
-    "FunctionFaultReport",
-    "ScenarioResult",
-    "format_faults",
-    "run_faults_study",
-    "ClusterStudy",
-    "SingleNodeReduction",
-    "format_cluster",
-    "run_cluster_study",
-    "Experiment",
-    "ExperimentContext",
-    "Fidelity",
-    "register",
-    "smoke_tier",
-]

@@ -516,7 +516,6 @@ def _cluster_runner(ctx: ExperimentContext):
 
 register(Experiment(
     name="cluster",
-    title="Cluster: leaf-spine fabric, ECN vs drop-tail, fleet TCO",
     description="racks of calibrated server+SNIC nodes behind a two-tier "
                 "fabric: incast/uniform/skewed flow scenarios, fleet "
                 "sizing across node profiles, rack-outage failover",

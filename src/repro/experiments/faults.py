@@ -540,7 +540,6 @@ def faults_json(result: FaultStudyResult) -> list:
 
 register(Experiment(
     name="faults",
-    title="Availability under faults: failover and graceful degradation",
     description="Fig. 4 operating points replayed through SNIC outage, "
                 "thermal throttle, core loss, and bursty link loss",
     runner=_faults_runner,

@@ -246,7 +246,6 @@ def _write_fig4_csv(stream, rows: List[Fig4Row]) -> int:
 
 register(Experiment(
     name="fig4",
-    title="Fig. 4: throughput and p99 latency, SNIC vs host",
     description="maximum sustainable throughput and p99 latency of every "
                 "function on both platforms, with SNIC/host ratios",
     runner=_fig4_runner,

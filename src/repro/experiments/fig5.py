@@ -270,7 +270,6 @@ FIG5_SERIES_SCHEMA = {
 
 register(Experiment(
     name="fig5",
-    title="Fig. 5: REM throughput and p99 latency vs offered rate",
     description="host matcher at 1/4/8 cores and the REM accelerator "
                 "swept over offered packet rates, per rule set",
     runner=_fig5_runner,

@@ -124,7 +124,6 @@ def fig6_row_json(row: Fig6Row) -> dict:
 
 register(Experiment(
     name="fig6",
-    title="Fig. 6: average power and energy efficiency",
     description="server and device power at each Fig. 4 operating point "
                 "plus SNIC-over-host energy-efficiency ratios",
     depends=("fig4",),

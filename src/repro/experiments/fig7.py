@@ -49,7 +49,6 @@ def format_fig7(result: Fig7Result, width: int = 72, height: int = 12) -> str:
 
 register(Experiment(
     name="fig7",
-    title="Fig. 7: network data rates of the hyperscaler trace",
     description="the synthetic hyperscaler rate trace with its summary "
                 "statistics (the Table 4 replay input)",
     # The trace is a fixed artifact (seed 2023 regardless of --seed, as

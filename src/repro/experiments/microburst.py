@@ -236,7 +236,6 @@ def _microburst_runner(ctx: ExperimentContext) -> Dict[str, List[BurstPoint]]:
 
 register(Experiment(
     name="microburst",
-    title="Microburst tolerance: bursty REM load, host vs accelerator",
     description="REM at a fixed mean rate delivered in on/off bursts of "
                 "increasing peak-to-mean ratio",
     runner=_microburst_runner,

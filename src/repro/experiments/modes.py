@@ -94,7 +94,6 @@ def _register() -> None:
 
     register(Experiment(
         name="modes",
-        title="Operation modes: the on-path tax for host-bound traffic",
         description="packet-accurate on-path vs off-path RTT and SNIC-CPU "
                     "occupancy for host-terminated echo traffic",
         # A few hundred packets through the event engine; the study is

@@ -186,7 +186,6 @@ def _observations_runner(ctx: ExperimentContext) -> List[Verdict]:
 
 register(Experiment(
     name="observations",
-    title="Key Observations 1-5 as machine-checked verdicts",
     description="the paper's five Key Observations evaluated against "
                 "measured Fig. 4/5/6 results",
     depends=("fig4", "fig5", "fig6"),

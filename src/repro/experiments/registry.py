@@ -9,11 +9,15 @@ single :class:`Experiment` spec and every consumer — CLI verbs, the
 EXPERIMENTS.md report, the flight-recorder ``trace`` verb, the CI smoke
 matrix, and the CSV/JSON exporters — is a generic walk over the registry.
 
-Adding an experiment is one registration::
+Adding an experiment is one row of :data:`TABLE` (verb, defining module,
+title) plus the spec its module registers at import::
 
+    # TABLE
+    ("myexp", "repro.experiments.myexp", "My new study"),
+
+    # repro/experiments/myexp.py
     register(Experiment(
         name="myexp",
-        title="My new study",
         runner=lambda ctx: run_myexp(samples=ctx.fidelity().samples,
                                      streams=ctx.streams,
                                      executor=ctx.executor),
@@ -23,6 +27,9 @@ Adding an experiment is one registration::
 
 and ``python -m repro myexp`` (with ``--smoke``, ``--json``, ``--trace``,
 ``--jobs`` ...) plus the CI smoke matrix all exist with no further edits.
+The table is what keeps the CLI cheap: the parser's verbs, their help
+lines and :func:`names` read it and import nothing, and :func:`get`
+imports only the one module that defines the verb asked for.
 
 Fidelity tiers
 --------------
@@ -49,6 +56,7 @@ consume it.
 
 from __future__ import annotations
 
+import importlib
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -87,6 +95,43 @@ DEGRADE_PARTIAL = "partial"
 # so `ctx.run("fig4")` reproduces `python -m repro fig4` exactly.
 DEFAULT_SAMPLES = 200
 DEFAULT_REQUESTS = 12_000
+
+# Every shipped verb as (name, defining module, title), in the paper's
+# artifact order: the CLI verb list, the report walk and the CI smoke
+# matrix all follow it.  The module registers the verb's spec when it is
+# imported; the title here is the spec's title and the verb's help line.
+TABLE: Tuple[Tuple[str, str, str], ...] = (
+    ("fig4", "repro.experiments.fig4",
+     "Fig. 4: throughput and p99 latency, SNIC vs host"),
+    ("fig5", "repro.experiments.fig5",
+     "Fig. 5: REM throughput and p99 latency vs offered rate"),
+    ("fig6", "repro.experiments.fig6",
+     "Fig. 6: average power and energy efficiency"),
+    ("fig7", "repro.experiments.fig7",
+     "Fig. 7: network data rates of the hyperscaler trace"),
+    ("table4", "repro.experiments.table4",
+     "Table 4: REM replaying the hyperscaler trace"),
+    ("table5", "repro.experiments.table5",
+     "Table 5: five-year TCO, SNIC vs standard-NIC fleets"),
+    ("observations", "repro.experiments.observations",
+     "Key Observations 1-5 as machine-checked verdicts"),
+    ("tables", "repro.analysis.tables",
+     "Tables 1-3: hardware and benchmark configuration"),
+    ("strategy1", "repro.experiments.strategy1",
+     "Strategy 1: SNIC kernel-stack offload what-if"),
+    ("modes", "repro.experiments.modes",
+     "Operation modes: the on-path tax for host-bound traffic"),
+    ("sensitivity", "repro.experiments.sensitivity",
+     "Future-SNIC sensitivity: where Fig. 4 conclusions flip"),
+    ("microburst", "repro.experiments.microburst",
+     "Microburst tolerance: bursty REM load, host vs accelerator"),
+    ("faults", "repro.experiments.faults",
+     "Availability under faults: failover and graceful degradation"),
+    ("cluster", "repro.experiments.cluster",
+     "Cluster: leaf-spine fabric, ECN vs drop-tail, fleet TCO"),
+)
+_MODULES: Dict[str, str] = {name: module for name, module, _ in TABLE}
+_TITLES: Dict[str, str] = {name: title for name, _, title in TABLE}
 
 
 @dataclass(frozen=True)
@@ -165,6 +210,9 @@ class Experiment:
     gate) — applied only at default fidelity, since smoke runs validate
     plumbing, not science.
 
+    ``title`` is left empty for a verb of :data:`TABLE`, which supplies
+    it; a spec registered at run time must give one.
+
     Run-farm fields: ``unit_granularity`` documents what one schedulable
     work unit of this experiment is (manifest rows and timeouts apply at
     that granularity), and ``degradation`` declares the policy when the
@@ -174,9 +222,9 @@ class Experiment:
     """
 
     name: str
-    title: str
     runner: Callable[["ExperimentContext"], Any]
     formatter: Callable[[Any], str]
+    title: str = ""
     tiers: Mapping[str, Fidelity] = field(default_factory=smoke_tier)
     chart: Optional[Callable[[Any], str]] = None
     csv_writer: Optional[Callable[[IO[str], Any], int]] = None
@@ -189,6 +237,16 @@ class Experiment:
     degradation: str = DEGRADE_ABORT
 
     def __post_init__(self) -> None:
+        if self.name in _TITLES:
+            if self.title not in ("", _TITLES[self.name]):
+                raise ValueError(
+                    f"experiment {self.name!r} takes its title from "
+                    f"registry.TABLE, not {self.title!r}")
+            object.__setattr__(self, "title", _TITLES[self.name])
+        elif not self.title:
+            raise ValueError(
+                f"experiment {self.name!r} needs a title (only the verbs "
+                f"of registry.TABLE have one already)")
         missing = {DEFAULT_TIER, SMOKE_TIER} - set(self.tiers)
         if missing:
             raise ValueError(
@@ -333,7 +391,7 @@ class ExperimentContext:
         try:
             result = spec.runner(self)
         except Exception as exc:
-            from ..runfarm.supervisor import QuarantinedUnitError
+            from ..core.executor import QuarantinedUnitError
 
             if (isinstance(exc, QuarantinedUnitError)
                     and spec.degradation == DEGRADE_PARTIAL):
@@ -375,7 +433,6 @@ class ExperimentContext:
 _REGISTRY: Dict[str, Experiment] = {}
 _ORDER: List[str] = []
 _LOCK = threading.Lock()
-_LOADED = False
 
 
 def register(spec: Experiment) -> Experiment:
@@ -389,7 +446,13 @@ def register(spec: Experiment) -> Experiment:
 
 
 def get(name: str) -> Experiment:
-    load_all()
+    """The spec of ``name``, importing only the module that defines it.
+
+    The modules of the experiments a spec depends on load when its
+    runner asks for their results through ``ctx.run``.
+    """
+    if name not in _REGISTRY and name in _MODULES:
+        importlib.import_module(_MODULES[name])
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -398,28 +461,22 @@ def get(name: str) -> Experiment:
         ) from None
 
 
-# The paper's artifact order, used by the CLI verb list, the report
-# walk, and the CI smoke matrix.  Registration order can't serve here:
-# it follows module-import side effects (the experiments package imports
-# fig4 before table4 regardless of artifact numbering).  Experiments not
-# named below sort after these, in registration order.
-ARTIFACT_ORDER = (
-    "fig4", "fig5", "fig6", "fig7", "table4", "table5", "observations",
-    "tables", "strategy1", "modes", "sensitivity", "microburst", "faults",
-    "cluster",
-)
-
-
 def names() -> List[str]:
-    """Registered experiment names in canonical artifact order."""
-    load_all()
-    rank = {name: index for index, name in enumerate(ARTIFACT_ORDER)}
-    known = [name for name in ARTIFACT_ORDER if name in _REGISTRY]
-    extra = [name for name in _ORDER if name not in rank]
-    return known + extra
+    """Every verb: the table's, then specs registered at run time.
+
+    Imports nothing.
+    """
+    return list(_MODULES) + [name for name in _ORDER
+                             if name not in _MODULES]
+
+
+def title(name: str) -> str:
+    """The title of ``name`` (its CLI help line), importing nothing."""
+    return _TITLES[name] if name in _TITLES else _REGISTRY[name].title
 
 
 def all_experiments() -> List[Experiment]:
+    load_all()
     return [_REGISTRY[name] for name in names()]
 
 
@@ -429,34 +486,16 @@ def csv_capable() -> List[str]:
 
 
 def load_all() -> None:
-    """Import every module that registers specs (idempotent).
+    """Import every module of the table, for walks over the whole registry.
 
-    Registration happens at import time in each experiment module; this
-    just guarantees they have all been imported before a registry walk.
+    The report, :func:`csv_capable` and the CI smoke matrix walk every
+    spec; a single verb only needs :func:`get`.  The report generator is
+    the registry's whole-table consumer, so it loads here as well: after
+    this call every module a ``report`` run executes is imported.
     """
-    global _LOADED
-    if _LOADED:
-        return
-    with _LOCK:
-        if _LOADED:
-            return
-        _LOADED = True
-    # Import order is registration order: the paper's artifact order.
-    from . import fig4, fig5, fig6, fig7, table4, table5  # noqa: F401
-    from . import observations  # noqa: F401
-    from ..analysis import tables  # noqa: F401
-    from . import strategy1, modes, sensitivity, microburst  # noqa: F401
-    from . import faults  # noqa: F401
-    from . import cluster  # noqa: F401
-
-
-def reset_for_tests() -> None:
-    """Drop all registrations so a test can exercise load_all afresh."""
-    global _LOADED
-    with _LOCK:
-        _REGISTRY.clear()
-        _ORDER.clear()
-        _LOADED = False
+    for module in _MODULES.values():
+        importlib.import_module(module)
+    importlib.import_module("repro.analysis.report")
 
 
 def dependency_order(targets: Optional[Sequence[str]] = None) -> List[str]:

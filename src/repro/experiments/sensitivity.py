@@ -216,7 +216,6 @@ def _sensitivity_runner(ctx: ExperimentContext) -> List[SensitivityRow]:
 
 register(Experiment(
     name="sensitivity",
-    title="Future-SNIC sensitivity: where Fig. 4 conclusions flip",
     description="hypothetical SNIC designs (more/faster cores, better "
                 "memory, faster engines) swept over representative keys",
     runner=_sensitivity_runner,

@@ -212,7 +212,6 @@ def _strategy1_runner(ctx: ExperimentContext) -> List[Strategy1Row]:
 
 register(Experiment(
     name="strategy1",
-    title="Strategy 1: SNIC kernel-stack offload what-if",
     description="Fig. 4 points re-measured with fractions of the SNIC "
                 "stack moved to NIC hardware (AccelTCP/FlexTOE-style)",
     runner=_strategy1_runner,

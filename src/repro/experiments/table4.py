@@ -189,7 +189,6 @@ _TABLE4_CELL_SCHEMA = {
 
 register(Experiment(
     name="table4",
-    title="Table 4: REM replaying the hyperscaler trace",
     description="host CPU vs SNIC accelerator sustaining the Fig. 7 "
                 "trace: throughput, p99 latency, and average power",
     runner=_table4_runner,

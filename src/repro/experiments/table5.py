@@ -168,7 +168,6 @@ _FLEET_SCHEMA = {
 
 register(Experiment(
     name="table5",
-    title="Table 5: five-year TCO, SNIC vs standard-NIC fleets",
     description="fleet sizing, power, and total cost of ownership for "
                 "fio, OvS, REM, and Compress from measured points",
     depends=("table4",),

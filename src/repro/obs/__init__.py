@@ -20,14 +20,3 @@ The telemetry subsystem every experiment reports through:
 Fleet progress rendering lives with the run farm in
 :mod:`repro.runfarm.status` (the ``repro status`` verb).
 """
-
-from . import metrics
-from .metrics import Counter, Gauge, Histogram, MetricRegistry
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "metrics",
-]

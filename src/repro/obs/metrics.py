@@ -302,35 +302,49 @@ class MetricRegistry:
 
     def delta_since(self, before: Dict[str, Dict[str, Any]]
                     ) -> Dict[str, Dict[str, Any]]:
-        """Changes since ``before`` as a plain picklable dict."""
+        """Changes since ``before`` as a plain picklable dict.
+
+        The help text of every changed family rides along, so a family
+        first created in a worker keeps its ``# HELP`` line.
+        """
         b_counters = before.get("counters", {})
         b_gauges = before.get("gauges", {})
         b_hists = before.get("hists", {})
         counters: Dict[str, int] = {}
         gauges: Dict[str, float] = {}
         hists: Dict[str, Dict[str, Any]] = {}
+        helps: Dict[str, str] = {}
         for name, metric in self._metrics.items():
             if metric.kind == COUNTER:
                 diff = metric.value - b_counters.get(name, 0)
-                if diff:
-                    counters[name] = diff
+                if not diff:
+                    continue
+                counters[name] = diff
             elif metric.kind == GAUGE:
-                if metric.updates != b_gauges.get(name, 0):
-                    gauges[name] = metric.value
+                if metric.updates == b_gauges.get(name, 0):
+                    continue
+                gauges[name] = metric.value
             else:
                 start = b_hists.get(name, 0)
-                if len(metric.values) > start:
-                    hists[name] = {
-                        "buckets": list(metric.buckets),
-                        "values": metric.values[start:],
-                    }
-        return {"counters": counters, "gauges": gauges, "hists": hists}
+                if len(metric.values) <= start:
+                    continue
+                hists[name] = {
+                    "buckets": list(metric.buckets),
+                    "values": metric.values[start:],
+                }
+            if metric.help:
+                helps[name] = metric.help
+        delta = {"counters": counters, "gauges": gauges, "hists": hists}
+        if helps:
+            delta["help"] = helps
+        return delta
 
     def merge(self, delta: Dict[str, Dict[str, Any]]) -> None:
         """Fold a worker delta in; call strictly in submission order.
 
         Histogram values are re-observed in their original order, so
         float sums and quantiles reproduce the serial run bit for bit.
+        A family without help text takes the worker's.
         """
         for name, amount in delta.get("counters", {}).items():
             self.counter(name).inc(amount)
@@ -340,6 +354,10 @@ class MetricRegistry:
             hist = self.histogram(name, buckets=payload.get("buckets", ()))
             for value in payload.get("values", ()):
                 hist.observe(value)
+        for name, text in delta.get("help", {}).items():
+            metric = self._metrics[name]
+            if not metric.help:
+                metric.help = text
 
     def summary_line(self) -> str:
         """The footer's ``metrics:`` one-liner."""

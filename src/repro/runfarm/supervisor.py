@@ -43,6 +43,7 @@ import numpy as np
 from ..core import trace
 from ..core.executor import (
     ParallelExecutor,
+    QuarantinedUnitError,
     UnitFailure,
     UnitProfile,
     WorkUnit,
@@ -83,30 +84,6 @@ class SupervisorConfig:
     def __post_init__(self) -> None:
         if self.unit_timeout_s is not None and self.unit_timeout_s <= 0:
             raise ValueError("unit_timeout_s must be positive")
-
-
-class QuarantinedUnitError(RuntimeError):
-    """A batch finished but some units were quarantined as poison pills.
-
-    Raised by the supervisor after the *whole batch* has been driven to
-    completion — every healthy unit's result is computed and stored
-    before this surfaces, so a resume (or a partial-results verdict)
-    has maximal progress to build on.
-    """
-
-    def __init__(self, failures: Sequence[UnitFailure], total: int):
-        self.failures = list(failures)
-        self.total = total
-        names = ", ".join(f.unit for f in self.failures[:5])
-        more = "" if len(self.failures) <= 5 else (
-            f" (+{len(self.failures) - 5} more)")
-        super().__init__(
-            f"{len(self.failures)}/{total} units quarantined after "
-            f"exhausting attempts: {names}{more}"
-        )
-
-    def quarantined_units(self) -> List[str]:
-        return [f.unit for f in self.failures]
 
 
 @dataclass

@@ -13,7 +13,9 @@ from repro.analysis.export import (
 )
 from repro.analysis.tco import compare
 from repro.core.rng import RandomStreams
-from repro.experiments import rows_from_fig4, run_fig4, run_fig5
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.fig6 import rows_from_fig4
 
 
 @pytest.fixture(scope="module")

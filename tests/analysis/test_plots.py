@@ -64,7 +64,7 @@ class TestFigureAdapters:
     def test_fig4_chart_from_rows(self):
         from repro.analysis.plots import fig4_chart
         from repro.core.rng import RandomStreams
-        from repro.experiments import run_fig4
+        from repro.experiments.fig4 import run_fig4
 
         rows = run_fig4(keys=("udp:64", "crypto:sha1"), samples=40,
                         n_requests=3000, streams=RandomStreams(1))
@@ -75,7 +75,7 @@ class TestFigureAdapters:
     def test_fig5_chart_from_curves(self):
         from repro.analysis.plots import fig5_chart
         from repro.core.rng import RandomStreams
-        from repro.experiments import run_fig5
+        from repro.experiments.fig5 import run_fig5
 
         curves = run_fig5(rulesets=("file_executable",),
                           rates_gbps=(10, 30, 50), samples=40,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Simulator, SimulationError
+from repro.core.engine import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LatencyRecorder, RunMetrics, ThroughputMeter
+from repro.core.metrics import LatencyRecorder, RunMetrics, ThroughputMeter
 
 
 class TestLatencyRecorder:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Resource, SimulationError, Simulator, Store
+from repro.core.engine import SimulationError, Simulator
+from repro.core.resources import Resource, Store
 
 
 def test_resource_capacity_validation():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RandomStreams
+from repro.core.rng import RandomStreams
 from repro.core import units
 
 

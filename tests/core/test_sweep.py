@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import RunMetrics, find_max_sustainable_rate, rate_response_curve
+from repro.core.metrics import RunMetrics
+from repro.core.sweep import find_max_sustainable_rate, rate_response_curve
 from repro.obs import metrics
 
 

@@ -8,7 +8,9 @@ experiment fixtures reuse them too).
 import pytest
 
 from repro.core.rng import RandomStreams
-from repro.experiments import rows_from_fig4, run_fig4, run_fig5
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.fig6 import rows_from_fig4
 
 SAMPLES = 150
 N_REQUESTS = 10_000

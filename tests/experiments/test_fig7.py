@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import format_fig7, run_fig7
+from repro.experiments.fig7 import format_fig7, run_fig7
 
 
 class TestFig7:

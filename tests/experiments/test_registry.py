@@ -61,6 +61,20 @@ class TestExperimentSpec:
             Experiment(name="x", title="x", runner=lambda ctx: None,
                        formatter=str, tiers={DEFAULT_TIER: Fidelity()})
 
+    def test_table_verb_takes_its_title_from_the_table(self):
+        spec = Experiment(name="fig7", runner=lambda ctx: None,
+                          formatter=str)
+        titles = {name: title for name, _module, title in registry.TABLE}
+        assert spec.title == titles["fig7"]
+        with pytest.raises(ValueError, match="takes its title"):
+            Experiment(name="fig7", title="other", runner=lambda ctx: None,
+                       formatter=str)
+
+    def test_run_time_spec_needs_a_title(self):
+        with pytest.raises(ValueError, match="needs a title"):
+            Experiment(name="t-untitled", runner=lambda ctx: None,
+                       formatter=str)
+
     def test_unknown_tier_rejected(self):
         with pytest.raises(KeyError, match="no fidelity tier"):
             _spec("x").tier("turbo")
@@ -78,12 +92,14 @@ class TestExperimentSpec:
 
 class TestRegistryContents:
     def test_all_paper_artifacts_registered(self):
-        assert set(registry.ARTIFACT_ORDER) <= set(registry.names())
+        for name, module, title in registry.TABLE:
+            spec = registry.get(name)
+            assert spec.name == name and spec.title == title
+            assert spec.runner.__module__ == module, name
 
     def test_names_follow_artifact_order(self):
-        names = registry.names()
-        known = [n for n in registry.ARTIFACT_ORDER if n in names]
-        assert names[: len(known)] == known
+        table = [name for name, _module, _title in registry.TABLE]
+        assert registry.names()[: len(table)] == table
 
     def test_csv_capability_matches_legacy_set(self):
         assert set(registry.csv_capable()) == {"fig4", "fig5", "fig6",

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.rng import RandomStreams
-from repro.experiments import format_table4, run_table4, run_table5
+from repro.experiments.table4 import format_table4, run_table4
+from repro.experiments.table5 import run_table5
 
 
 @pytest.fixture(scope="module")

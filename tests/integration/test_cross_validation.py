@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Resource, Simulator
+from repro.core.engine import Simulator
+from repro.core.resources import Resource
 from repro.core.queueing import lindley_waits, simulate_gg1
 
 

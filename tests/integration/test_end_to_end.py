@@ -10,7 +10,8 @@ workload — each exercising several packages together.
 import numpy as np
 import pytest
 
-from repro.core import Simulator, Store
+from repro.core.engine import Simulator
+from repro.core.resources import Store
 from repro.functions.kvstore import KeyValueStore, encode_command
 from repro.functions.regex.rulesets import load_ruleset
 from repro.functions.snort import IntrusionDetector, PacketMeta

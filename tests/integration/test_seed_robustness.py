@@ -7,7 +7,7 @@ who wins, by roughly what factor — reproduce across independent seeds.
 import pytest
 
 from repro.core.rng import RandomStreams
-from repro.experiments import run_fig4
+from repro.experiments.fig4 import run_fig4
 
 KEYS = ("udp:64", "rdma:1024", "crypto:sha1", "rem:file_image",
         "compression:txt", "fio:read")

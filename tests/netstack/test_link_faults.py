@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.netstack.link import GilbertElliottLoss, Link
 from repro.netstack.packet import PROTO_UDP, Packet
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.netstack import DuplexChannel, Link, UdpEndpoint, ip, run_echo_server
 from repro.netstack.packet import PROTO_UDP, Packet, format_ip
 

@@ -4,7 +4,7 @@ teardown."""
 import numpy as np
 import pytest
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.netstack import DuplexChannel, TcpEndpoint, TcpState, ip
 
 

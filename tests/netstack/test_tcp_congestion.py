@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.netstack import DuplexChannel, TcpEndpoint, ip
 from repro.netstack.tcp import DEFAULT_SSTHRESH, INITIAL_CWND, MIN_RTO, MSS
 

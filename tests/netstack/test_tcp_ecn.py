@@ -9,7 +9,7 @@ segment, ECE echoed on ACKs, a multiplicative window cut at the sender
 
 import numpy as np
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.netstack import DuplexChannel, TcpEndpoint, ip
 from repro.netstack.tcp import INITIAL_CWND, MSS
 

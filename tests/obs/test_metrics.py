@@ -192,7 +192,36 @@ def _observing_unit(index):
     return index
 
 
+def _documented_unit(index):
+    metrics.counter("test.documented", help="units that ran").inc()
+    metrics.histogram("test.documented_wall", buckets=(1.0,),
+                      help="unit wall seconds").observe(0.5)
+    return index
+
+
+def _help_lines(text):
+    return [line for line in text.splitlines() if line.startswith("# HELP")]
+
+
 class TestExecutorIntegration:
+    def test_help_survives_families_first_created_in_workers(self):
+        expositions = []
+        for jobs in (1, 2):
+            metrics.reset()
+            executor = ParallelExecutor(jobs, serial_bypass=False)
+            try:
+                units = [WorkUnit(name=f"doc:{i}", fn=_documented_unit,
+                                  args=(i,)) for i in range(4)]
+                executor.map(units)
+            finally:
+                executor.close()
+            expositions.append(render(metrics.registry()))
+        assert _help_lines(expositions[0]) == [
+            "# HELP repro_test_documented units that ran",
+            "# HELP repro_test_documented_wall unit wall seconds",
+        ]
+        assert expositions[1] == expositions[0]
+
     def test_metrics_byte_identical_jobs_1_vs_4(self):
         expositions = []
         for jobs in (1, 4):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.calibration import POWER
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.power import (
     IDLE,
     BmcSensor,

@@ -135,6 +135,22 @@ class TestInstrumentFooter:
         assert "probes: 0 simulated" in second.err
 
 
+class TestMetricsExport:
+    def test_help_lines_match_at_jobs_1_and_2(self, tmp_path, capsys):
+        # Every fabric.* family is first created in a worker at --jobs 2.
+        helps = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            assert main(["--jobs", str(jobs), "cluster", "--smoke",
+                         "--metrics-out", str(out)]) == 0
+            capsys.readouterr()
+            helps.append([line for line in
+                          (out / "metrics.prom").read_text().splitlines()
+                          if line.startswith("# HELP")])
+        assert any("repro_fabric_" in line for line in helps[0])
+        assert helps[1] == helps[0]
+
+
 class TestCheapCommands:
     """Run the fast subcommands end to end."""
 

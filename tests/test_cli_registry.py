@@ -9,13 +9,9 @@ from repro.analysis.export import ARTIFACT_SCHEMA, validate_artifact
 from repro.analysis.plots import fig4_chart, fig5_chart
 from repro.cli import build_parser, main
 from repro.core.rng import RandomStreams
-from repro.experiments import (
-    format_fig4,
-    format_fig5,
-    registry,
-    run_fig4,
-    run_fig5,
-)
+from repro.experiments import registry
+from repro.experiments.fig4 import format_fig4, run_fig4
+from repro.experiments.fig5 import format_fig5, run_fig5
 from repro.experiments.registry import DEFAULT_TIER, SMOKE_TIER
 
 FAST = ["--samples", "20", "--requests", "600"]

@@ -3,10 +3,11 @@
 The walk parses each module with :mod:`ast` and follows every ``import``
 and ``from ... import`` statement, including the lazy imports inside
 function bodies, starting from ``repro.cli``, ``repro.__main__`` and the
-experiment modules that ``registry.load_all()`` imports.  Importing a
-module also runs its parent packages' ``__init__``, so those are reached
-(and walked) too.  A module the walk never reaches is code no verb can
-run; delete it, or allowlist it here with the reason it stays.
+module column of the registry table, which the CLI imports by name when
+a verb runs.  Importing a module also runs its parent packages'
+``__init__``, so those are reached (and walked) too.  A module the walk
+never reaches is code no verb can run; delete it, or allowlist it here
+with the reason it stays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import ast
 import os
 from typing import Dict, Iterator, Set
+
+from repro.experiments import registry
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
@@ -73,18 +76,10 @@ def _package_of(name: str, path: str) -> str:
     return name if path.endswith("__init__.py") else name.rpartition(".")[0]
 
 
-def _load_all_imports(files: Dict[str, str]) -> Iterator[str]:
-    """The modules ``registry.load_all()`` imports."""
-    name = "repro.experiments.registry"
-    load_all = next(node for node in _parse(files[name]).body
-                    if isinstance(node, ast.FunctionDef)
-                    and node.name == "load_all")
-    yield from _imports(load_all, _package_of(name, files[name]), set(files))
-
-
 def _reachable(files: Dict[str, str]) -> Set[str]:
     modules = set(files)
-    stack = ["repro.cli", "repro.__main__", *_load_all_imports(files)]
+    stack = ["repro.cli", "repro.__main__",
+             *(module for _name, module, _title in registry.TABLE)]
     seen: Set[str] = set()
     while stack:
         name = stack.pop()

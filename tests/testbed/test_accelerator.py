@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.functions.regex.rulesets import load_ruleset
 from repro.testbed.accelerator import (
     AcceleratorDevice,

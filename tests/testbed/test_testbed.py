@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Simulator
+from repro.core.engine import Simulator
 from repro.hardware.specs import BLUEFIELD2
 from repro.netstack.packet import PROTO_UDP, Packet
 from repro.testbed import (
