@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -151,7 +152,7 @@ def _profile_redis(workload: str, samples: int) -> FunctionProfile:
                for operation in ycsb.load_phase(spec, rng))
     work_samples: List[WorkUnits] = []
     wire_total = 0.0
-    operations = list(ycsb.run_phase(spec, rng))[:samples]
+    operations = list(islice(ycsb.run_phase(spec, rng), samples))
     for operation in operations:
         if operation.kind == "read":
             command = encode_command(b"GET", operation.key)

@@ -87,38 +87,68 @@ def _hash64_many(keys: Sequence[bytes]) -> List[int]:
 
 @dataclass
 class _Slot:
+    # Slots, not a per-instance dict: a profile build makes 20k of these.
+    __slots__ = ("tag", "offset")
     tag: int
     offset: int
 
 
 class _Partition:
+    """One core's bucket index and circular log.
+
+    The log grows to its high-water mark instead of being preallocated:
+    ``log_bytes`` is the ring's size, ``len(log)`` only what was ever
+    written.  Bytes past the mark read as the zeros a preallocated ring
+    would hold there (:meth:`_log_bytes`).
+    """
+
     def __init__(self, buckets: int, log_bytes: int):
         self.buckets: List[List[_Slot]] = [[] for _ in range(buckets)]
-        self.log = bytearray(log_bytes)
+        self.log_bytes = log_bytes
+        self.log = bytearray()
         self.head = 0
         self.wrapped = False
 
     def _append(self, key: bytes, value: bytes) -> int:
         record = len(key).to_bytes(2, "little") + len(value).to_bytes(4, "little") + key + value
-        if len(record) > len(self.log):
+        if len(record) > self.log_bytes:
             raise ValueError("record larger than partition log")
-        if self.head + len(record) > len(self.log):
+        if self.head + len(record) > self.log_bytes:
             self.head = 0
             self.wrapped = True
         offset = self.head
+        # head never passes len(log), so this overwrites or extends in place.
         self.log[offset : offset + len(record)] = record
         self.head += len(record)
         return offset
 
     def _read(self, offset: int, key: bytes) -> Optional[bytes]:
+        # Past the high-water mark a length prefix reads short, but its
+        # missing high bytes are zeros, so the little-endian value is the same.
         key_length = int.from_bytes(self.log[offset : offset + 2], "little")
         value_length = int.from_bytes(self.log[offset + 2 : offset + 6], "little")
         start = offset + 6
-        stored_key = bytes(self.log[start : start + key_length])
+        stored_key = self._log_bytes(start, key_length)
         if stored_key != key:
             return None  # overwritten by log wrap or tag collision
         start += key_length
-        return bytes(self.log[start : start + value_length])
+        return self._log_bytes(start, value_length)
+
+    def _log_bytes(self, start: int, length: int) -> bytes:
+        """``log[start:start + length]`` of the preallocated ring.
+
+        A stale slot can parse a garbage length that runs past the
+        high-water mark; there the ring held zeros up to ``log_bytes``,
+        and a short slice could compare equal to a key the zero-padded
+        one does not.
+        """
+        end = start + length
+        chunk = bytes(self.log[start:end])
+        if end > len(self.log):
+            missing = min(end, self.log_bytes) - max(start, len(self.log))
+            if missing > 0:
+                chunk += bytes(missing)
+        return chunk
 
 
 class MicaStore:

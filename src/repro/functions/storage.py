@@ -4,7 +4,8 @@ The paper's fio benchmark reads/writes a remote RAMDisk through the
 NVMe-over-Fabrics offload engine in ConnectX-6/BlueField-2.  We build the
 stack for real:
 
-* :class:`RamDisk` — a byte-addressable block device backed by memory;
+* :class:`RamDisk` — a block device backed by memory, holding only the
+  blocks written to it;
 * :class:`NvmeOfTarget` — command-level NVMe-oF target: admin (identify)
   and I/O (read/write) commands against namespaces;
 * :class:`FioEngine` — generates randread/randwrite command streams at a
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,31 +40,49 @@ class StorageError(RuntimeError):
 
 
 class RamDisk:
-    """An in-memory block device (the paper's 16 GB RAMDisk, scaled)."""
+    """An in-memory block device (the paper's 16 GB RAMDisk, scaled).
+
+    Sparse: only written blocks hold memory.  ``_blocks`` maps a block
+    index to that block's bytes; a block never written reads as zeros,
+    exactly as a zero-filled device would.  A ``bytes`` payload is kept
+    by reference (one memoryview slice per block, so one pattern written
+    many times is stored once); any other buffer is copied first, so a
+    caller mutating its ``bytearray`` later cannot change the disk.
+    """
 
     def __init__(self, capacity_bytes: int, block_bytes: int = 4096):
         if capacity_bytes % block_bytes:
             raise ValueError("capacity must be a multiple of the block size")
         self.block_bytes = block_bytes
         self.block_count = capacity_bytes // block_bytes
-        self._data = bytearray(capacity_bytes)
+        self._blocks: Dict[int, Union[bytes, memoryview]] = {}
+        self._zero = bytes(block_bytes)
 
     @property
     def capacity_bytes(self) -> int:
-        return len(self._data)
+        return self.block_count * self.block_bytes
 
     def read(self, lba: int, blocks: int) -> bytes:
         self._check(lba, blocks)
-        start = lba * self.block_bytes
-        return bytes(self._data[start : start + blocks * self.block_bytes])
+        stored, zero = self._blocks.get, self._zero
+        return b"".join([stored(index, zero) for index in range(lba, lba + blocks)])
 
     def write(self, lba: int, payload: bytes) -> None:
         if len(payload) % self.block_bytes:
             raise StorageError("payload not block aligned")
         blocks = len(payload) // self.block_bytes
         self._check(lba, blocks)
-        start = lba * self.block_bytes
-        self._data[start : start + len(payload)] = payload
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)
+        view, size = memoryview(payload), self.block_bytes
+        for block in range(blocks):
+            self._blocks[lba + block] = view[block * size : (block + 1) * size]
+
+    def __getstate__(self) -> dict:
+        # memoryviews do not pickle; their bytes do.
+        state = dict(self.__dict__)
+        state["_blocks"] = {index: bytes(data) for index, data in self._blocks.items()}
+        return state
 
     def _check(self, lba: int, blocks: int) -> None:
         if lba < 0 or blocks < 1 or lba + blocks > self.block_count:
