@@ -282,6 +282,19 @@ def _experiment_name(args) -> Optional[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # The logging setup is this invocation's: an in-process caller (a
+    # test, an embedding script) gets its ``repro`` logger back as it was.
+    root = logging.getLogger("repro")
+    handlers, level, propagate = root.handlers[:], root.level, root.propagate
+    try:
+        return _main(argv)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+        root.propagate = propagate
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "status":

@@ -41,6 +41,8 @@ COMP_STACK_RTT = "stack_rtt"        # fixed network-stack RTT floor
 COMP_STALL = "stall"                # retry/fault stall (faults study)
 COMPONENTS = (COMP_QUEUE_WAIT, COMP_SERVICE, COMP_BATCH_WAIT,
               COMP_STACK_RTT, COMP_STALL)
+# Share of a run's first requests left out of its latency summaries.
+WARMUP_FRACTION = 0.1
 
 
 # Reusable per-thread scratch for the consumed `increments` input of
@@ -133,6 +135,12 @@ def _seeded_lindley(increments: np.ndarray, initial: float) -> np.ndarray:
 # back to the exact scalar recursion (heavy sustained overload).
 _DROP_BLOCK = 4096
 _DROP_MAX_PASSES = 8
+# A block whose first pass puts more violators than this in one
+# zero-wait segment goes straight to the scalar recursion: measured over
+# the `--engine sim report` probes without routing, every block that
+# exhausted its passes showed at least 31 (median 3807), blocks that
+# converged a median of 11.
+_ROUTE_VIOLATORS = 30
 # Relative slack on the verdict-only bound (see drop_budget_for): far above
 # the float rounding of the served-rate arithmetic, far below any
 # difference a rung verdict can hinge on.
@@ -166,6 +174,42 @@ class Overloaded:
         raise VerdictOnlyError(
             f"{name!r} of a verdict-only run is unknown: it stopped after "
             f"{self.dropped} of {self.requests} requests dropped")
+
+
+class VerdictRecord:
+    """A verdict-only run that ran to the end.
+
+    Returned instead of a ``RunMetrics`` by a knee rung whose caller
+    reads only its verdict.  ``offered_rate``, ``completed_rate`` and
+    ``dropped`` are exactly :func:`outcome_to_metrics`'s, and
+    ``latency_p99`` is computed from the same kept sojourns on first
+    read (an SLO-bound knee or a trace reads it); any other field raises
+    :class:`VerdictOnlyError`, as :class:`Overloaded` does.
+    """
+
+    __slots__ = ("offered_rate", "completed_rate", "dropped", "_kept", "_p99")
+
+    def __init__(self, offered_rate: float, completed_rate: float,
+                 dropped: int, kept_sojourns: np.ndarray) -> None:
+        self.offered_rate = offered_rate
+        self.completed_rate = completed_rate
+        self.dropped = dropped
+        self._kept = kept_sojourns
+        self._p99: Optional[float] = None
+
+    @property
+    def latency_p99(self) -> float:
+        if self._p99 is None:
+            self._p99 = (summarize_samples(self._kept).p99 if self._kept.size
+                         else float("inf"))
+        return self._p99
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        raise VerdictOnlyError(
+            f"{name!r} of a verdict-only run is not computed: only "
+            f"offered_rate, completed_rate, dropped and latency_p99 are")
 
 
 def drop_budget_for(
@@ -203,40 +247,54 @@ def bounded_waits_reference(
     queue_limit: float,
     initial_backlog: float = 0.0,
     previous_arrival: float = 0.0,
-) -> tuple:
+    drop_budget: Optional[int] = None,
+):
     """Scalar bounded-buffer recursion (the drop-path oracle).
 
     Walks arrivals in order, draining ``backlog`` by elapsed time; an
     arrival finding more than ``queue_limit`` seconds of unfinished work
     is dropped, a kept arrival waits the backlog and adds its service.
     Returns ``(kept_mask, waits_of_kept, backlog, last_arrival)`` so
-    the vectorized kernel can resume a block from this exact state.
+    the vectorized kernel can resume a block from this exact state — or,
+    when ``drop_budget`` is given, an :class:`Overloaded` verdict at the
+    first drop past it.
     """
+    arrivals = np.asarray(arrivals, dtype=float)
     n = len(arrivals)
-    kept = np.zeros(n, dtype=bool)
-    waits = []
     backlog = float(initial_backlog)
     previous = float(previous_arrival)
-    # Plain-float lists: scalar indexing into ndarrays boxes a np.float64
-    # per access, which dominates this loop.  Python floats are the same
-    # IEEE doubles, so the arithmetic (and the results) are bit-identical.
-    arrival_list = arrivals.tolist() if isinstance(arrivals, np.ndarray) else list(arrivals)
-    service_list = services.tolist() if isinstance(services, np.ndarray) else list(services)
-    append = waits.append
-    for i in range(n):
-        arrival = arrival_list[i]
-        backlog = backlog - (arrival - previous)
+    if n == 0:
+        return np.zeros(0, dtype=bool), np.empty(0), backlog, previous
+    # The elapsed times ``arrival - previous`` are the same IEEE
+    # subtractions whether numpy or the loop makes them, and iterating
+    # plain-float lists avoids boxing a np.float64 per access, so the
+    # results are bit-identical to the indexed loop.
+    gaps = np.empty(n)
+    gaps[0] = arrivals[0] - previous
+    np.subtract(arrivals[1:], arrivals[:-1], out=gaps[1:])
+    budget = n if drop_budget is None else drop_budget
+    drops = 0
+    # Every arrival's drained backlog, kept or not: the keep mask is the
+    # loop's own ``> queue_limit`` test redone on the same doubles.
+    seen = []
+    append = seen.append
+    service_list = np.asarray(services, dtype=float).tolist()
+    for gap, service in zip(gaps.tolist(), service_list):
+        backlog -= gap
         # Exactly max(0.0, backlog), NaN and -0.0 included (max keeps its
         # first argument unless the second is strictly greater), without
         # the builtin call — DESIGN.md §9's exact-clamp rule.
         backlog = backlog if backlog > 0.0 else 0.0
-        previous = arrival
-        if backlog > queue_limit:
-            continue
-        kept[i] = True
         append(backlog)
-        backlog += service_list[i]
-    return kept, np.asarray(waits), backlog, previous
+        if backlog > queue_limit:
+            drops += 1
+            if drops > budget:
+                return Overloaded(requests=n, dropped=drops)
+        else:
+            backlog += service
+    seen = np.array(seen)
+    kept = ~(seen > queue_limit)
+    return kept, seen[kept], backlog, float(arrivals[-1])
 
 
 def bounded_waits(
@@ -252,14 +310,17 @@ def bounded_waits(
     overflowing block is refined by removing, per zero-backlog segment,
     its *first* violator (whose computed wait is provably exact — every
     earlier request in the segment is a certain keep) and recomputing.
-    Almost-never-dropping probes converge in one pass; a block still
-    overflowing after ``_DROP_MAX_PASSES`` (sustained deep overload)
-    falls back to the scalar oracle seeded with the exact carry-in, so
-    the result always matches ``bounded_waits_reference`` element-wise.
+    Almost-never-dropping probes converge in one pass.  A block whose
+    first pass puts more than ``_ROUTE_VIOLATORS`` violators in one
+    segment (sustained deep overload), or that still overflows after
+    ``_DROP_MAX_PASSES``, is finished by the scalar oracle seeded with
+    the exact carry-in, so the result always matches
+    ``bounded_waits_reference`` element-wise.
 
     Returns ``(kept_mask, waits_of_kept)`` — or, when ``drop_budget`` is
-    given and the drops counted at a block boundary exceed it, an
-    :class:`Overloaded` verdict without simulating the remaining blocks.
+    given and the drops exceed it, an :class:`Overloaded` verdict without
+    simulating the rest: a scalar block stops at the first drop past the
+    budget, a fixed-point block at its end.
     """
     n = len(arrivals)
     if n == 0:
@@ -281,22 +342,27 @@ def bounded_waits(
     if optimistic.max() <= queue_limit:
         return np.ones(n, dtype=bool), optimistic
     kept = np.ones(n, dtype=bool)
-    waits = np.empty(n)
+    kept_waits = []
     backlog = 0.0
     previous = 0.0
     dropped = 0
     for start in range(0, n, _DROP_BLOCK):
         stop = min(start + _DROP_BLOCK, n)
         block_kept = kept[start:stop]
-        backlog, previous = _bounded_block(
+        result = _bounded_block(
             arrivals[start:stop], services[start:stop], queue_limit,
-            backlog, previous, block_kept, waits[start:stop],
+            backlog, previous, block_kept,
+            None if drop_budget is None else drop_budget - dropped,
         )
+        if isinstance(result, Overloaded):
+            return Overloaded(requests=n, dropped=dropped + result.dropped)
+        block_waits, backlog, previous = result
+        kept_waits.append(block_waits)
         if drop_budget is not None:
             dropped += len(block_kept) - int(np.count_nonzero(block_kept))
             if dropped > drop_budget:
                 return Overloaded(requests=n, dropped=dropped)
-    return kept, waits[kept]
+    return kept, np.concatenate(kept_waits)
 
 
 def _bounded_block(
@@ -306,66 +372,83 @@ def _bounded_block(
     backlog: float,
     previous: float,
     kept_out: np.ndarray,
-    waits_out: np.ndarray,
-) -> tuple:
+    drop_budget: Optional[int],
+):
     """One block of the bounded-buffer fixed point (see bounded_waits).
 
-    Writes keep flags and (for kept requests) waits into the output
-    views and returns the exact ``(backlog, last_arrival)`` carry.
+    Clears the flags of dropped requests in ``kept_out`` (which arrives
+    all True) and returns the kept requests' waits with the exact
+    ``(backlog, last_arrival)`` carry, or the scalar oracle's
+    :class:`Overloaded` once its drops pass ``drop_budget``.
     """
     m = len(arrivals)
     survivors = np.arange(m)
-    for _ in range(_DROP_MAX_PASSES):
-        surv_arrivals = arrivals[survivors]
-        surv_services = services[survivors]
+    # The first pass keeps every request: read the block views directly.
+    surv_arrivals, surv_services = arrivals, services
+    for attempt in range(_DROP_MAX_PASSES):
+        if attempt:
+            surv_arrivals = arrivals[survivors]
+            surv_services = services[survivors]
         # Backlog drains by wall time between consecutive *arrivals*
         # (dropped requests still let time pass), so increments use
         # arrival-time differences, exactly like the scalar oracle.
-        increments = np.empty(len(survivors))
+        # services[:-1] - diff(arrivals), built without temporaries
+        # (a - b is exactly -(b - a) in IEEE arithmetic).
+        increments = np.empty(len(surv_arrivals))
         increments[0] = -(surv_arrivals[0] - previous)
-        if len(survivors) > 1:
-            increments[1:] = surv_services[:-1] - np.diff(surv_arrivals)
+        np.subtract(surv_arrivals[:-1], surv_arrivals[1:], out=increments[1:])
+        increments[1:] += surv_services[:-1]
         waits = _seeded_lindley(increments, backlog)
         violators = waits > queue_limit
         if not violators.any():
-            kept_mask = np.zeros(m, dtype=bool)
-            kept_mask[survivors] = True
-            kept_out[:] = kept_mask
-            waits_out[survivors] = waits
+            if attempt:
+                kept_out[:] = False
+                kept_out[survivors] = True
             # Drain past any trailing dropped arrivals so the carry state
             # matches the oracle's (backlog at the block's last arrival).
             carry_backlog = waits[-1] + surv_services[-1]
             last = float(arrivals[-1])
             carry_backlog = max(0.0, carry_backlog - (last - float(surv_arrivals[-1])))
-            return carry_backlog, last
+            return waits, carry_backlog, last
         # Zero-wait positions are exact resets: the optimistic wait is
         # an overestimate, so a computed 0 pins the true backlog to 0
         # and decouples everything after it from earlier drop choices.
         # Within each reset-delimited segment only the FIRST violator's
         # wait is known exact (all earlier segment members are certain
         # keeps); drop exactly those and recompute the shrunk block.
-        segments = np.cumsum(waits == 0.0)
         violator_positions = np.flatnonzero(violators)
+        # A violator's segment is the count of resets at or before it.
+        violator_segments = np.searchsorted(
+            np.flatnonzero(waits == 0.0), violator_positions, side="right")
         first_in_segment = np.empty(len(violator_positions), dtype=bool)
         first_in_segment[0] = True
-        violator_segments = segments[violator_positions]
         first_in_segment[1:] = violator_segments[1:] != violator_segments[:-1]
-        survivors = np.delete(survivors,
-                              violator_positions[first_in_segment])
+        firsts = np.flatnonzero(first_in_segment)
+        if attempt == 0:
+            # Violators in the busiest segment (segments run from one
+            # first violator to the next).
+            busiest = len(violator_positions) - firsts[-1]
+            if len(firsts) > 1:
+                busiest = max(busiest, (firsts[1:] - firsts[:-1]).max())
+            if busiest > _ROUTE_VIOLATORS:
+                break
+        survivors = np.delete(survivors, violator_positions[firsts])
         if len(survivors) == 0:
             kept_out[:] = False
             last = float(arrivals[-1])
             drained = max(0.0, backlog - (last - previous))
-            return drained, last
-    # Sustained deep overload: the fixed point is shedding one drop per
-    # busy period per pass, so finish the block with the exact scalar
-    # recursion from the block's (exact) entry state instead.
-    kept_mask, block_waits, backlog, previous = bounded_waits_reference(
-        arrivals, services, queue_limit, backlog, previous
-    )
+            return np.empty(0), drained, last
+    # Sustained deep overload (routed on the first pass, or still
+    # overflowing after the last): the fixed point sheds one drop per
+    # segment per pass, so the exact scalar recursion finishes the block
+    # from its (exact) entry state instead.
+    result = bounded_waits_reference(
+        arrivals, services, queue_limit, backlog, previous, drop_budget)
+    if isinstance(result, Overloaded):
+        return result
+    kept_mask, block_waits, backlog, previous = result
     kept_out[:] = kept_mask
-    waits_out[kept_mask] = block_waits
-    return backlog, previous
+    return block_waits, backlog, previous
 
 
 @dataclass
@@ -915,7 +998,7 @@ def _emit_batch_series(batch_log) -> None:
 
 
 def attribute_outcome(
-    outcome: QueueOutcome, warmup_fraction: float = 0.1
+    outcome: QueueOutcome, warmup_fraction: float = WARMUP_FRACTION
 ) -> Dict[str, float]:
     """Latency attribution over the measurement window.
 
@@ -953,7 +1036,7 @@ def outcome_to_metrics(
     offered_rate: float,
     bytes_per_request: float,
     cores: int = 1,
-    warmup_fraction: float = 0.1,
+    warmup_fraction: float = WARMUP_FRACTION,
 ) -> RunMetrics:
     """Convert raw queue results to the standard RunMetrics record.
 
@@ -961,7 +1044,6 @@ def outcome_to_metrics(
     completion rates scale back up by ``cores``.
     """
     n = len(outcome.sojourns)
-    total = n + outcome.dropped
     if n == 0:
         return RunMetrics(
             offered_rate=offered_rate,
@@ -978,20 +1060,7 @@ def outcome_to_metrics(
     kept = outcome.sojourns[skip:]
     completions = outcome.completions()
     duration = float(completions.max() - (outcome.arrivals[skip] if skip < n else 0.0))
-    # Arrivals in `outcome` are the *served* requests only (drops were
-    # removed), so their rate over the run span IS the served rate.  A
-    # degenerate span (single request at t=0, or a zero-gap burst) gives
-    # no rate information — report 0 rather than divide by zero.
-    run_span = float(outcome.arrivals[-1])
-    served_rate = n / run_span if run_span > 0.0 else 0.0
-    # A shard saturates when completions lag arrivals; detect via backlog at
-    # the end of the run growing beyond a few service times.
-    tail_backlog = float(completions[-1] - outcome.arrivals[-1])
-    mean_service = float(np.mean(outcome.services))
-    overloaded = tail_backlog > max(50 * mean_service, 0.05 * run_span)
-    effective_rate = served_rate * cores
-    if overloaded and mean_service > 0:
-        effective_rate = min(effective_rate, cores / mean_service)
+    effective_rate = _completed_rate(outcome, cores)
     latency = summarize_samples(kept)
     return RunMetrics(
         offered_rate=offered_rate,
@@ -1007,3 +1076,40 @@ def outcome_to_metrics(
         # means sum to latency_mean exactly.
         extra=attribute_outcome(outcome, warmup_fraction),
     )
+
+
+def outcome_to_verdict(
+    outcome: QueueOutcome, offered_rate: float, cores: int = 1
+) -> VerdictRecord:
+    """The :class:`VerdictRecord` of a run :func:`outcome_to_metrics`
+    would convert: same completed rate and drops, p99 left for later."""
+    n = len(outcome.sojourns)
+    if n == 0:
+        return VerdictRecord(offered_rate, 0.0, outcome.dropped, np.empty(0))
+    return VerdictRecord(offered_rate, _completed_rate(outcome, cores),
+                         outcome.dropped,
+                         outcome.sojourns[int(n * WARMUP_FRACTION):])
+
+
+def _completed_rate(outcome: QueueOutcome, cores: int) -> float:
+    """System completed rate of a non-empty outcome (``RunMetrics``'s
+    ``completed_rate`` before any wire-rate clip)."""
+    n = len(outcome.sojourns)
+    # Arrivals in `outcome` are the *served* requests only (drops were
+    # removed), so their rate over the run span IS the served rate.  A
+    # degenerate span (single request at t=0, or a zero-gap burst) gives
+    # no rate information — report 0 rather than divide by zero.
+    last_arrival = outcome.arrivals[-1]
+    run_span = float(last_arrival)
+    served_rate = n / run_span if run_span > 0.0 else 0.0
+    # A shard saturates when completions lag arrivals; detect via backlog at
+    # the end of the run growing beyond a few service times.  Completion
+    # minus arrival, not the sojourn itself: the rounding is part of the
+    # verdict every committed output was computed with.
+    tail_backlog = float(last_arrival + outcome.sojourns[-1] - last_arrival)
+    mean_service = float(np.mean(outcome.services))
+    overloaded = tail_backlog > max(50 * mean_service, 0.05 * run_span)
+    effective_rate = served_rate * cores
+    if overloaded and mean_service > 0:
+        effective_rate = min(effective_rate, cores / mean_service)
+    return effective_rate

@@ -39,6 +39,7 @@ from ..core.queueing import (
     COMP_STACK_RTT,
     Overloaded,
     outcome_to_metrics,
+    outcome_to_verdict,
     simulate_batch_server,
     simulate_batch_server_ladder,
     simulate_sharded,
@@ -214,7 +215,9 @@ def run_fixed_rate(
     With ``verdict_only`` the caller needs nothing but the rung's
     acceptability: a CPU run whose drops prove it cannot serve
     :data:`ACCEPTABLE_SERVED_FRACTION` of ``rate`` stops early and
-    returns :class:`~repro.core.queueing.Overloaded` (DESIGN.md §9).
+    returns :class:`~repro.core.queueing.Overloaded`, and any run that
+    goes to the end returns a :class:`~repro.core.queueing.VerdictRecord`
+    (DESIGN.md §9).
     """
     obs_metrics.counter(obs_metrics.PROBES).inc()
     obs_metrics.counter(obs_metrics.PROBES_SIMULATED).inc()
@@ -262,7 +265,8 @@ def _run_fixed_rate(
     verdict_only: bool = False,
 ):
     if platform == ACCEL_PLATFORM:
-        return _run_accelerator(profile, rate, streams, n_requests)
+        return _run_accelerator(profile, rate, streams, n_requests,
+                                verdict_only)
     if platform not in CPU_PLATFORMS:
         raise MeasurementError(f"unknown platform {platform!r}")
     if platform not in profile.platforms:
@@ -289,9 +293,7 @@ def _run_fixed_rate(
     if isinstance(outcome, Overloaded):
         return outcome
     outcome = _add_fixed_latency(outcome, profile, platform, rng)
-    metrics = outcome_to_metrics(
-        outcome, offered_rate=rate, bytes_per_request=profile.wire_bytes, cores=cores
-    )
+    metrics = _rung_metrics(outcome, rate, profile, cores, verdict_only)
     if rate > nic_cap:
         # Wire-rate clipping: the excess never reaches the server.
         metrics.completed_rate = min(metrics.completed_rate, nic_cap)
@@ -302,6 +304,15 @@ def _run_fixed_rate(
 def _verdict_floor(rate: float) -> float:
     """The completed rate a knee rung offered ``rate`` must reach."""
     return ACCEPTABLE_SERVED_FRACTION * rate
+
+
+def _rung_metrics(outcome, rate: float, profile: FunctionProfile, cores: int,
+                  verdict_only: bool):
+    """A finished rung's ``RunMetrics``, or only its verdict record."""
+    if verdict_only:
+        return outcome_to_verdict(outcome, offered_rate=rate, cores=cores)
+    return outcome_to_metrics(outcome, offered_rate=rate,
+                              bytes_per_request=profile.wire_bytes, cores=cores)
 
 
 def _add_fixed_latency(outcome, profile, platform, rng):
@@ -327,7 +338,8 @@ def _run_accelerator(
     rate: float,
     streams: RandomStreams,
     n_requests: int,
-) -> RunMetrics:
+    verdict_only: bool = False,
+):
     if profile.accel_engine is None:
         raise MeasurementError(f"{profile.key} has no accelerator path")
     rng = streams.stream(f"{profile.key}:accel:{rate:.6g}")
@@ -355,9 +367,7 @@ def _run_accelerator(
         per_item_time=per_item,
     )
     outcome = _add_fixed_latency(outcome, profile, ACCEL_PLATFORM, rng)
-    metrics = outcome_to_metrics(
-        outcome, offered_rate=rate, bytes_per_request=profile.wire_bytes
-    )
+    metrics = _rung_metrics(outcome, rate, profile, 1, verdict_only)
     cap = min(staging_cap, nic_cap)
     if rate > cap:
         metrics.completed_rate = min(metrics.completed_rate, cap)
@@ -409,8 +419,9 @@ def run_ladder(
     array (drawn from the dedicated ``:ladder`` substream), evaluated by
     the stacked kernels in :mod:`repro.core.queueing`.  Returns one
     :class:`RunMetrics` per rate, in order.  ``verdict_only`` holds one
-    flag per rate; a flagged rung may come back
-    :class:`~repro.core.queueing.Overloaded` (see :func:`run_fixed_rate`).
+    flag per rate; a flagged rung comes back
+    :class:`~repro.core.queueing.Overloaded` or as a verdict record (see
+    :func:`run_fixed_rate`).
     """
     rates = [float(rate) for rate in rates]
     count = len(rates)
@@ -440,8 +451,10 @@ def run_ladder(
 
 def _run_ladder(profile, platform, rates, streams, n_requests,
                 verdict_only=None) -> list:
+    flags = verdict_only or [False] * len(rates)
     if platform == ACCEL_PLATFORM:
-        return _run_accelerator_ladder(profile, rates, streams, n_requests)
+        return _run_accelerator_ladder(profile, rates, streams, n_requests,
+                                       flags)
     if platform not in CPU_PLATFORMS:
         raise MeasurementError(f"unknown platform {platform!r}")
     if platform not in profile.platforms:
@@ -456,25 +469,20 @@ def _run_ladder(profile, platform, rates, streams, n_requests,
     def sampler(sampler_rng: np.random.Generator, n: int) -> np.ndarray:
         return sampler_rng.choice(services, size=n)
 
-    floors = None
-    if verdict_only is not None:
-        floors = [_verdict_floor(rate) if flag else None
-                  for rate, flag in zip(rates, verdict_only)]
+    floors = [_verdict_floor(rate) if flag else None
+              for rate, flag in zip(rates, flags)]
     outcomes = simulate_sharded_ladder(
         effective, cores, sampler, n_requests, rng, queue_limit=queue_limit,
         min_served_rates=floors,
     )
     rtt = _shared_rtt(profile, platform, rng, n_requests)
     results = []
-    for rate, outcome in zip(rates, outcomes):
+    for rate, outcome, flag in zip(rates, outcomes, flags):
         if isinstance(outcome, Overloaded):
             results.append(outcome)
             continue
         outcome.add_component(COMP_STACK_RTT, rtt[: len(outcome.sojourns)])
-        metrics = outcome_to_metrics(
-            outcome, offered_rate=rate,
-            bytes_per_request=profile.wire_bytes, cores=cores,
-        )
+        metrics = _rung_metrics(outcome, rate, profile, cores, flag)
         if rate > nic_cap:
             metrics.completed_rate = min(metrics.completed_rate, nic_cap)
             metrics.dropped += int((rate - nic_cap) / rate * n_requests)
@@ -482,7 +490,8 @@ def _run_ladder(profile, platform, rates, streams, n_requests,
     return results
 
 
-def _run_accelerator_ladder(profile, rates, streams, n_requests) -> list:
+def _run_accelerator_ladder(profile, rates, streams, n_requests,
+                            flags) -> list:
     if profile.accel_engine is None:
         raise MeasurementError(f"{profile.key} has no accelerator path")
     rng = streams.fresh(f"{profile.key}:accel:ladder")
@@ -503,11 +512,9 @@ def _run_accelerator_ladder(profile, rates, streams, n_requests) -> list:
     )
     rtt = _shared_rtt(profile, ACCEL_PLATFORM, rng, n_requests)
     results = []
-    for rate, outcome in zip(rates, outcomes):
+    for rate, outcome, flag in zip(rates, outcomes, flags):
         outcome.add_component(COMP_STACK_RTT, rtt[: len(outcome.sojourns)])
-        metrics = outcome_to_metrics(
-            outcome, offered_rate=rate, bytes_per_request=profile.wire_bytes
-        )
+        metrics = _rung_metrics(outcome, rate, profile, 1, flag)
         if rate > cap:
             metrics.completed_rate = min(metrics.completed_rate, cap)
             metrics.dropped += int((rate - cap) / rate * n_requests)
@@ -854,8 +861,7 @@ def _rung_acceptable(metrics, rate: float,
 def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
     """The ladder's knee: largest acceptable rung still improving
     completed rate (identical to the legacy inline loop)."""
-    knee_rate = float(ladder[0])
-    knee_metrics: Optional[RunMetrics] = None
+    knee_rate = float(ladder[0])  # kept if even the lowest rung overloads
     best_completed = 0.0
     for rate, metrics in zip(ladder, rung_metrics):
         rate = float(rate)
@@ -863,9 +869,6 @@ def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
                 and metrics.completed_rate >= best_completed):
             best_completed = metrics.completed_rate
             knee_rate = rate
-            knee_metrics = metrics
-    if knee_metrics is None:  # even the lowest rung overloads
-        knee_rate = float(ladder[0])
     return knee_rate
 
 
@@ -874,13 +877,15 @@ def _knee_sim(profile, platform, ladder, streams, n_requests,
     """Legacy knee search: every rung is its own simulation.
 
     Only the rungs' verdicts and acceptable rungs' completed rates are
-    read, so every rung runs verdict-only.
+    read, so every rung runs verdict-only.  The rungs run one at a time
+    as the knee scan reaches them, so a verdict record (which holds its
+    kept sojourns for the p99) is freed once it has been judged.
     """
-    rung_metrics = [
+    rung_metrics = (
         run_fixed_rate(profile, platform, float(rate), streams, n_requests,
                        verdict_only=True)
         for rate in ladder
-    ]
+    )
     return _select_knee(ladder, rung_metrics, slo_p99)
 
 

@@ -1,10 +1,11 @@
 """Verdict-only bounded-buffer runs (``drop_budget`` / ``Overloaded``).
 
-A run given a served-rate floor may stop at a block boundary once its
-drops exceed :func:`drop_budget_for`; the bound behind the budget must
-make that verdict exact — a stopped run could never have reached the
-floor — and a run that is not stopped must be the full answer, bit for
-bit.
+A run given a served-rate floor stops once its drops exceed
+:func:`drop_budget_for` — at the first drop past the budget in a block
+the scalar recursion finishes, at the end of a fixed-point block — and
+the bound behind the budget must make that verdict exact: a stopped run
+could never have reached the floor.  A run that is not stopped is the
+full answer, bit for bit.
 """
 
 import pickle
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import queueing
 from repro.core.queueing import (
+    _DROP_BLOCK,
     Overloaded,
     VerdictOnlyError,
     bounded_waits,
@@ -69,14 +72,31 @@ class TestBoundedWaitsBudget:
         return (np.cumsum(rng.exponential(1.0, size=n)),
                 rng.exponential(1.5, size=n))
 
-    def test_stops_at_a_block_boundary(self):
+    def test_stops_at_the_first_drop_past_the_budget(self):
+        # Deep overload: the first block goes to the scalar recursion,
+        # which stops mid-block.
         arrivals, services = self.overloaded_inputs()
         result = bounded_waits(arrivals, services, 4.0, drop_budget=100)
         assert isinstance(result, Overloaded)
         assert result.requests == len(arrivals)
-        assert result.dropped > 100
+        assert result.dropped == 101
         kept, _ = bounded_waits(arrivals, services, 4.0)
         assert result.dropped <= len(arrivals) - int(kept.sum())
+
+    def test_fixed_point_block_stops_at_its_end(self, monkeypatch):
+        # A handful of drops in the first block, settled by the fixed
+        # point without the scalar recursion: the verdict comes at the
+        # block's end with all of them counted.
+        rng = np.random.default_rng(4)
+        arrivals = np.cumsum(rng.exponential(1.0, size=2 * _DROP_BLOCK))
+        services = rng.exponential(0.7, size=2 * _DROP_BLOCK)
+        calls = count_reference_calls(monkeypatch)
+        kept, _ = bounded_waits(arrivals, services, 15.0)
+        first_block = _DROP_BLOCK - int(kept[:_DROP_BLOCK].sum())
+        assert first_block > 1 and calls == [0]
+        result = bounded_waits(arrivals, services, 15.0, drop_budget=0)
+        assert result == Overloaded(requests=len(arrivals),
+                                    dropped=first_block)
 
     def test_within_budget_is_the_full_answer(self):
         arrivals, services = self.overloaded_inputs()
@@ -121,6 +141,78 @@ class TestBoundedWaitsBudget:
         assert not isinstance(verdict[0], Overloaded)
         assert verdict[0].sojourns.tobytes() == full[0].sojourns.tobytes()
         assert all(isinstance(row, Overloaded) for row in verdict[1:])
+
+
+def count_reference_calls(monkeypatch):
+    """Count the blocks the scalar recursion finishes from now on."""
+    calls = [0]
+    reference = queueing.bounded_waits_reference
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(queueing, "bounded_waits_reference", counted)
+    return calls
+
+
+def mixed_load_inputs(n, first_load, second_load, seed):
+    """Arrivals at rate 1; services of mean ``first_load`` for the first
+    block and ``second_load`` after it."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0, size=n))
+    services = rng.exponential(1.0, size=n)
+    services[:_DROP_BLOCK] *= first_load
+    services[_DROP_BLOCK:] *= second_load
+    return arrivals, services
+
+
+def assert_budget_verdicts_exact(arrivals, services, limit, budgets):
+    """``drop_budget=B`` stops exactly when the full run drops more than B."""
+    kept, waits = bounded_waits(arrivals, services, limit)
+    full = len(arrivals) - int(kept.sum())
+    for budget in budgets:
+        result = bounded_waits(arrivals, services, limit, drop_budget=budget)
+        if full > budget:
+            assert isinstance(result, Overloaded)
+            assert budget < result.dropped <= full
+        else:
+            got_kept, got_waits = result
+            assert np.array_equal(got_kept, kept)
+            assert got_waits.tobytes() == waits.tobytes()
+    return full
+
+
+class TestBudgetProperty:
+    @given(st.integers(1, 3 * _DROP_BLOCK), st.floats(0.5, 1.2),
+           st.floats(0.5, 2.5), st.floats(1.0, 40.0), st.floats(0.0, 1.2),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_overloaded_exactly_when_full_drops_exceed_budget(
+            self, n, first_load, second_load, limit_services, fraction,
+            seed):
+        arrivals, services = mixed_load_inputs(n, first_load, second_load,
+                                               seed)
+        limit = limit_services * max(first_load, second_load)
+        kept, _ = bounded_waits(arrivals, services, limit)
+        full = n - int(kept.sum())
+        budgets = {0, full - 1, full, full + 1, int(fraction * full)}
+        assert_budget_verdicts_exact(arrivals, services, limit,
+                                     sorted(b for b in budgets if b >= 0))
+
+    def test_routed_and_fixed_point_blocks_in_one_run(self, monkeypatch):
+        # Rare drops in the first block (fixed point), deep overload in
+        # the rest (scalar recursion): every budget up to the full count.
+        arrivals, services = mixed_load_inputs(3 * _DROP_BLOCK, 0.7, 2.0, 1)
+        calls = count_reference_calls(monkeypatch)
+        kept, _ = bounded_waits(arrivals, services, 10.0)
+        first_block = _DROP_BLOCK - int(kept[:_DROP_BLOCK].sum())
+        assert first_block > 1
+        assert calls == [2]  # the first block converged, the others did not
+        budgets = sorted({first_block - 1, first_block, first_block + 1}
+                         | set(range(0, 3 * _DROP_BLOCK, 211)))
+        full = assert_budget_verdicts_exact(arrivals, services, 10.0, budgets)
+        assert 0 < full < budgets[-1]
 
 
 class TestOverloaded:

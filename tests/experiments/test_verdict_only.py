@@ -3,19 +3,26 @@
 A knee rung feeds the knee search nothing but whether it is acceptable
 (and, if so, its completed rate), so a CPU rung whose drops already
 prove it misses 95 % of its offered rate stops early and comes back
-:class:`~repro.core.queueing.Overloaded`.  These tests check, for every
-rung of the 12-rung knee ladder of a few CPU profiles under both probe
-engines, that the early verdict equals the full simulation's
-``_rung_acceptable``; that an Overloaded rung cannot be read; that the
-hybrid search never truncates the low window edge whose p99 goes into
-its TrustRecord; and that the chosen knees are unchanged.
+:class:`~repro.core.queueing.Overloaded`, and a rung that runs to the
+end comes back a :class:`~repro.core.queueing.VerdictRecord`.  These
+tests check, for every rung of the 12-rung knee ladder of a few CPU
+profiles (and an accelerator) under both probe engines, that the early
+verdict equals the full simulation's ``_rung_acceptable``; that a
+record's fields equal the full run's and nothing else can be read from
+it or from an Overloaded rung; that the hybrid search never truncates
+the low window edge whose p99 goes into its TrustRecord; and that the
+chosen knees are unchanged.
 """
+
+import dataclasses
+import pickle
 
 import pytest
 
 from repro.core import hybrid
 from repro.core.cache import ResultCache, configure, get_cache
-from repro.core.queueing import Overloaded, VerdictOnlyError
+from repro.core.metrics import RunMetrics
+from repro.core.queueing import Overloaded, VerdictOnlyError, VerdictRecord
 from repro.core.rng import RandomStreams
 from repro.experiments import measurement
 from repro.experiments.measurement import (
@@ -33,7 +40,10 @@ SAMPLES = 60
 N_REQUESTS = 8_000  # two bounded-kernel blocks: room to stop after one
 CASES = [("udp:64", "host"), ("udp:64", "snic-cpu"), ("redis:a", "snic-cpu"),
          ("bm25:1k", "host"), ("mica:4", "snic-cpu")]
+ACCEL_CASE = ("crypto:aes", "snic-accel")
 SLOS = (None, 50e-6)
+# What a verdict record answers; every other RunMetrics field raises.
+RECORD_FIELDS = ("offered_rate", "completed_rate", "dropped", "latency_p99")
 
 
 def knee_ladder(profile, platform):
@@ -50,6 +60,18 @@ def fresh_cache():
     configure(previous)
 
 
+def assert_record_of(got, want):
+    """A rung that ran to the end reports the full run's verdict fields,
+    and only those."""
+    assert isinstance(got, VerdictRecord)
+    for name in RECORD_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    for field in dataclasses.fields(RunMetrics):
+        if field.name not in RECORD_FIELDS:
+            with pytest.raises(VerdictOnlyError):
+                getattr(got, field.name)
+
+
 def assert_same_verdicts(rates, full, verdict):
     stopped = 0
     for rate, want, got in zip(rates, full, verdict):
@@ -60,7 +82,7 @@ def assert_same_verdicts(rates, full, verdict):
             stopped += 1
             assert got.dropped <= want.dropped
         else:
-            assert got == want  # a rung that ran to the end is the full run
+            assert_record_of(got, want)
     return stopped
 
 
@@ -84,6 +106,37 @@ def test_ladder_rungs_keep_their_verdicts(key, platform):
     verdict = run_ladder(profile, platform, rates, RandomStreams(5),
                          N_REQUESTS, verdict_only=[True] * len(rates))
     assert assert_same_verdicts(rates, full, verdict) > 0
+
+
+def test_accelerator_rungs_are_records():
+    # The batch engine has no bounded buffer: its rungs always run to
+    # the end, and a verdict-only rung still reads as a record.
+    key, platform = ACCEL_CASE
+    profile = get_profile(key, samples=SAMPLES)
+    rates = knee_ladder(profile, platform)
+    full = run_ladder(profile, platform, rates, RandomStreams(5), N_REQUESTS)
+    verdict = run_ladder(profile, platform, rates, RandomStreams(5),
+                         N_REQUESTS, verdict_only=[True] * len(rates))
+    assert assert_same_verdicts(rates, full, verdict) == 0
+    for rate in rates[::4]:
+        want = run_fixed_rate(profile, platform, rate, RandomStreams(5),
+                              N_REQUESTS)
+        got = run_fixed_rate(profile, platform, rate, RandomStreams(5),
+                             N_REQUESTS, verdict_only=True)
+        assert_record_of(got, want)
+
+
+def test_record_p99_is_computed_on_first_read_and_pickles():
+    profile = get_profile("udp:64", samples=SAMPLES)
+    low = knee_ladder(profile, "host")[0]
+    want = run_fixed_rate(profile, "host", low, RandomStreams(5), N_REQUESTS)
+    got = run_fixed_rate(profile, "host", low, RandomStreams(5), N_REQUESTS,
+                         verdict_only=True)
+    assert got._p99 is None  # nothing has read it yet
+    assert got.latency_p99 == want.latency_p99
+    copy = pickle.loads(pickle.dumps(got))
+    for name in RECORD_FIELDS:
+        assert getattr(copy, name) == getattr(got, name)
 
 
 def test_stopped_rungs_are_counted():

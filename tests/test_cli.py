@@ -2,12 +2,14 @@
 
 import json
 import logging
+from types import SimpleNamespace
 
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
 from repro.core import trace
+from repro.obs import slo
 
 
 class TestParser:
@@ -248,8 +250,35 @@ class TestLogging:
         assert "INFO repro.fig4" in err
         assert "measuring" in err
 
-    def test_default_level_suppresses_info(self, capsys):
+    def test_default_level_suppresses_info(self, capsys, monkeypatch):
+        levels = []
+        dispatch = cli._dispatch
+
+        def spy(args, streams, executor):
+            levels.append(logging.getLogger("repro").level)
+            return dispatch(args, streams, executor)
+
+        monkeypatch.setattr(cli, "_dispatch", spy)
         assert main(["--samples", "20", "--requests", "600", "fig4"]) == 0
         err = capsys.readouterr().err
         assert "INFO repro.fig4" not in err
-        assert logging.getLogger("repro").level == logging.WARNING
+        assert levels == [logging.WARNING]  # while the verb ran
+
+
+class TestLoggingIsRestored:
+    """main() configures the ``repro`` logger for one invocation only."""
+
+    def test_caplog_sees_repro_warnings_after_main(self, capsys, caplog):
+        root = logging.getLogger("repro")
+        before = (root.handlers[:], root.level, root.propagate)
+        assert main(["--samples", "20", "--requests", "600",
+                     "fig7", "--smoke"]) == 0
+        capsys.readouterr()
+        assert (root.handlers, root.level, root.propagate) == before
+        breach = [SimpleNamespace(key="udp:64", throughput_ratio=0.9,
+                                  p99_ratio=1.5)]
+        with caplog.at_level(logging.INFO, logger="repro.slo"):
+            slo.observe("fig4", breach, smoke=False)
+        records = [r for r in caplog.records if "SLO drift" in r.message]
+        assert records and records[0].levelno == logging.WARNING
+        assert "Logging error" not in capsys.readouterr().err
