@@ -9,10 +9,9 @@ from conftest import run_once
 
 from repro.core.rng import RandomStreams
 from repro.core.queueing import outcome_to_metrics, simulate_batch_server
-from repro.experiments.measurement import run_fixed_rate
 from repro.experiments.profiles import get_profile
 from repro.experiments.measurement import ACCEL_PLATFORM, measure_operating_point
-from repro.offload import hardware_balancer, simulate_balancer, snic_cpu_balancer
+from repro.offload.loadbalancer import BalancerConfig, simulate_balancer
 
 
 def test_ablation_accelerator_batching(benchmark):
@@ -42,7 +41,7 @@ def test_ablation_staging_cores(benchmark, streams):
     MTU rates to keep the engine fed."""
     from dataclasses import replace
 
-    from repro.calibration import ACCELERATORS, AcceleratorCalibration
+    from repro.calibration import ACCELERATORS
 
     def sweep():
         profile = get_profile("rem:file_executable@mtu", samples=100)
@@ -73,11 +72,13 @@ def test_ablation_load_balancer_threshold(benchmark):
         rng_seed = 3
         results = {}
         for threshold in (10e-6, 50e-6, 200e-6):
-            config = hardware_balancer(1.2e-6, 0.7e-6,
-                                       redirect_threshold_s=threshold)
+            config = BalancerConfig(1.2e-6, 0.7e-6,
+                                    redirect_threshold_s=threshold)
             outcome = simulate_balancer(config, 8e6, 40_000,
                                         np.random.default_rng(rng_seed))
-            results[threshold] = (outcome.host_fraction, outcome.p99_latency_s)
+            host_fraction = outcome.sent_to_host / (
+                outcome.sent_to_snic + outcome.sent_to_host)
+            results[threshold] = (host_fraction, outcome.p99_latency_s)
         return results
 
     results = run_once(benchmark, sweep)
@@ -95,8 +96,9 @@ def test_ablation_monitoring_cost(benchmark):
     def sweep():
         results = {}
         for cycles in (0, 300, 600, 1200):
-            config = snic_cpu_balancer(1.2e-6, 0.7e-6,
-                                       monitor_cost_s=cycles / 2.0e9)
+            config = BalancerConfig(1.2e-6, 0.7e-6,
+                                    monitor_cost_s=cycles / 2.0e9,
+                                    reaction_delay_s=100e-6)
             outcome = simulate_balancer(config, 9e6, 40_000,
                                         np.random.default_rng(5))
             results[cycles] = outcome.p99_latency_s

@@ -2,7 +2,8 @@
 
 from conftest import N_REQUESTS, SAMPLES, run_once
 
-from repro.experiments.fig6 import format_fig6, run_fig6
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig6 import format_fig6, rows_from_fig4
 
 PAPER_NOTES = """
 paper Fig. 6 anchors:
@@ -17,8 +18,11 @@ paper Fig. 6 anchors:
 
 
 def test_fig6(benchmark, streams):
-    rows = run_once(benchmark, run_fig6, samples=SAMPLES,
-                    n_requests=N_REQUESTS, streams=streams)
+    def fig6():
+        return rows_from_fig4(run_fig4(samples=SAMPLES, n_requests=N_REQUESTS,
+                                       streams=streams))
+
+    rows = run_once(benchmark, fig6)
     print()
     print(format_fig6(rows))
     print(PAPER_NOTES)

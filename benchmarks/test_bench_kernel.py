@@ -25,7 +25,7 @@ from repro.core.queueing import (
 from repro.core.rng import RandomStreams
 from repro.functions.compression import deflate
 from repro.functions.regex.rulesets import compile_ruleset
-from repro.workloads import make_compression_input
+from repro.workloads.corpus import make_compression_input
 
 
 def test_event_kernel_throughput(benchmark):

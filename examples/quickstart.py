@@ -21,6 +21,13 @@ from repro.experiments.profiles import get_profile
 from repro.experiments.fig4 import snic_platform_for
 
 
+def efficiency(point) -> float:
+    """Goodput per watt of server power (Gb/s/W)."""
+    if point.server_power_w <= 0:
+        return 0.0
+    return point.goodput_gbps / point.server_power_w
+
+
 def main() -> None:
     key = sys.argv[1] if len(sys.argv) > 1 else "rem:file_image"
     profile = get_profile(key, samples=200)
@@ -43,16 +50,14 @@ def main() -> None:
         ("p99 latency (us)", host.p99_latency_s * 1e6, snic.p99_latency_s * 1e6),
         ("server power (W)", host.server_power_w, snic.server_power_w),
         ("(S)NIC power (W)", host.device_power_w, snic.device_power_w),
-        ("efficiency (Gb/s/W)", host.energy_efficiency, snic.energy_efficiency),
+        ("efficiency (Gb/s/W)", efficiency(host), efficiency(snic)),
     ]
     for label, host_value, snic_value in rows:
         ratio = snic_value / host_value if host_value else float("inf")
         print(f"{label:<28} {host_value:>14,.2f} {snic_value:>14,.2f} {ratio:>10.2f}")
 
     efficiency_ratio = (
-        snic.energy_efficiency / host.energy_efficiency
-        if host.energy_efficiency
-        else float("inf")
+        efficiency(snic) / efficiency(host) if efficiency(host) else float("inf")
     )
     print()
     if efficiency_ratio > 1.1:

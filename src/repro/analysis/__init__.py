@@ -1,71 +1,1 @@
 """TCO analysis, table/figure rendering, CSV export, report generation."""
-
-from .export import (
-    write_fig4_csv,
-    write_fig5_csv,
-    write_fig6_csv,
-    write_table5_csv,
-)
-from .plots import bar_chart, fig4_chart, fig5_chart, fig6_chart, line_plot
-from .tco import (
-    FleetPlan,
-    ServerCosts,
-    TcoComparison,
-    compare,
-    format_comparison,
-)
-
-
-def generate_report(*args, **kwargs):
-    """Lazy wrapper: .report imports the experiments package, which in
-    turn imports analysis.tco — importing it eagerly here would cycle."""
-    from .report import generate_report as _generate_report
-
-    return _generate_report(*args, **kwargs)
-
-
-def format_all_tables():
-    from .tables import format_all_tables as _format_all_tables
-
-    return _format_all_tables()
-
-
-def format_table1():
-    from .tables import format_table1 as _format
-
-    return _format()
-
-
-def format_table2():
-    from .tables import format_table2 as _format
-
-    return _format()
-
-
-def format_table3():
-    from .tables import format_table3 as _format
-
-    return _format()
-
-
-__all__ = [
-    "write_fig4_csv",
-    "write_fig5_csv",
-    "write_fig6_csv",
-    "write_table5_csv",
-    "bar_chart",
-    "fig4_chart",
-    "fig5_chart",
-    "fig6_chart",
-    "line_plot",
-    "generate_report",
-    "format_all_tables",
-    "format_table1",
-    "format_table2",
-    "format_table3",
-    "FleetPlan",
-    "ServerCosts",
-    "TcoComparison",
-    "compare",
-    "format_comparison",
-]

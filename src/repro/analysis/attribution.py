@@ -115,24 +115,3 @@ def format_attribution_markdown(rows: Sequence[AttributionRow]) -> str:
             f"| {_us(tail.get('service', 0.0))} |"
         )
     return "\n".join(lines)
-
-
-def format_attribution(rows: Sequence[AttributionRow]) -> str:
-    """Aligned text rendering for the CLI."""
-    lines = [
-        f"{'function':<24} {'plat':<10} {'mean us':>9} {'queue':>8} "
-        f"{'service':>8} {'batch':>8} {'stack':>8} {'stall':>8} "
-        f"{'tail us':>9}"
-    ]
-    for row in rows:
-        comp = row.mean_components
-        lines.append(
-            f"{row.function:<24} {row.platform:<10} {_us(row.mean_s):>9} "
-            f"{_us(comp.get('queue_wait', 0.0)):>8} "
-            f"{_us(comp.get('service', 0.0)):>8} "
-            f"{_us(comp.get('batch_wait', 0.0)):>8} "
-            f"{_us(comp.get('stack_rtt', 0.0)):>8} "
-            f"{_us(comp.get('stall', 0.0)):>8} "
-            f"{_us(row.tail_mean_s):>9}"
-        )
-    return "\n".join(lines)

@@ -8,7 +8,6 @@ artifacts.
 
 from __future__ import annotations
 
-from typing import List
 
 from ..experiments.profiles import ALL_PROFILE_KEYS, get_profile
 from ..hardware.specs import BLUEFIELD2, CLIENT, SERVER

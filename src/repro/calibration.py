@@ -67,9 +67,6 @@ class PlatformCalibration:
     stacks: Mapping[str, StackCost]
     work_cycles: Mapping[str, float]
 
-    def seconds_per_cycle(self) -> float:
-        return 1.0 / self.frequency_hz
-
     def work_seconds(self, units) -> float:
         """Price a WorkUnits tally in seconds on this platform."""
         total_cycles = 0.0

@@ -405,7 +405,7 @@ def _invocation_topology(command: str, tier: str) -> str:
         from .experiments.cluster import tier_topology_id
 
         return tier_topology_id(tier)
-    from .cluster import single_node_spec
+    from .cluster.topology import single_node_spec
 
     return single_node_spec().topology_id()
 

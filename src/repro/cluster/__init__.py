@@ -10,24 +10,3 @@ topology into a picklable result.  A one-node, fabric-less topology is
 the seed world — experiments reduce to byte-identical single-node
 artifacts through that path.
 """
-
-from .fabric import FabricPort, LeafSpineFabric, PortStats, RedConfig
-from .node import Node
-from .scenario import ScenarioResult, run_scenario
-from .topology import TopologySpec, single_node_spec
-from .traffic import MIX_KINDS, FlowSpec, expand_mix
-
-__all__ = [
-    "FabricPort",
-    "FlowSpec",
-    "LeafSpineFabric",
-    "MIX_KINDS",
-    "Node",
-    "PortStats",
-    "RedConfig",
-    "ScenarioResult",
-    "TopologySpec",
-    "expand_mix",
-    "run_scenario",
-    "single_node_spec",
-]

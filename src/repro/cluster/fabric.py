@@ -229,15 +229,6 @@ class LeafSpineFabric:
 
     # -- fault-target protocol (rack/switch scope outages) -----------------
 
-    def spine_ports(self, spine: int) -> List[FabricPort]:
-        return [p for (s, _r), p in self.spine_down.items() if s == spine] + \
-               [p for (_r, s), p in self.leaf_up.items() if s == spine]
-
-    def rack_ports(self, rack: int) -> List[FabricPort]:
-        nodes = [n for n in self.topo.node_ids()
-                 if self.topo.rack_of(n) == rack]
-        return [self.up[n] for n in nodes] + [self.down[n] for n in nodes]
-
     # -- accounting --------------------------------------------------------
 
     def ports(self) -> List[FabricPort]:

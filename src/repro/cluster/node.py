@@ -80,16 +80,6 @@ class Node:
             self.endpoint.deliver(packet)
         return CONSUME
 
-    # -- fault-target protocol (repro.faults.injector) ---------------------
-
-    def fault_begin(self, fault) -> None:
-        if fault.spec.kind == "outage":
-            self._egress.set_down(True)
-
-    def fault_end(self, fault) -> None:
-        if fault.spec.kind == "outage":
-            self._egress.set_down(False)
-
     # -- accounting --------------------------------------------------------
 
     @property

@@ -94,13 +94,6 @@ class TopologySpec:
         return ip(10, self.rack_of(node_id), self.slot_of(node_id),
                   _NODE_HOST_OCTET)
 
-    def node_of_address(self, address: int) -> int:
-        rack = (address >> 16) & 0xFF
-        slot = (address >> 8) & 0xFF
-        node_id = rack * self.nodes_per_rack + slot
-        self._check(node_id)
-        return node_id
-
     def _check(self, node_id: int) -> None:
         if not 0 <= node_id < self.n_nodes:
             raise ValueError(f"node {node_id} outside topology "

@@ -25,7 +25,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..obs import metrics
 from . import trace
@@ -74,10 +74,6 @@ class CacheStats:
     misses: int = 0
     disk_hits: int = 0
     corrupt: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
     def as_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
@@ -204,14 +200,6 @@ class ResultCache:
                 except OSError:
                     pass
         return digest
-
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
-        found, value = self.get(key)
-        if found:
-            return value
-        value = compute()
-        self.put(key, value)
-        return value
 
     # -- bookkeeping --------------------------------------------------------
 

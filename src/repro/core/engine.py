@@ -130,7 +130,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         if self._state != Event.PENDING:
-            return  # interrupted while waiting; drop stale wakeups
+            return  # already finished; drop stale wakeups
         try:
             target = self._generator.send(event.value)
         except StopIteration as stop:
@@ -142,12 +142,6 @@ class Process(Event):
                 "expected an Event"
             )
         target.add_callback(self._resume)
-
-    def interrupt(self) -> None:
-        """Stop the process; its event fires with value None."""
-        if self._state == Event.PENDING:
-            self._generator.close()
-            self.trigger(None)
 
 
 class Simulator:
@@ -255,37 +249,3 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def any_of(self, events: List[Event]) -> Event:
-        """Event that fires when the first of ``events`` fires."""
-        combined = self.event()
-
-        def _on_fire(event: Event) -> None:
-            if not combined.triggered:
-                combined.trigger(event.value)
-
-        for event in events:
-            event.add_callback(_on_fire)
-        return combined
-
-    def all_of(self, events: List[Event]) -> Event:
-        """Event that fires (with a list of values) when all fire."""
-        combined = self.event()
-        remaining = [len(events)]
-        values: List[Any] = [None] * len(events)
-        if not events:
-            combined.trigger([])
-            return combined
-
-        def _make(index: int) -> Callable[[Event], None]:
-            def _on_fire(event: Event) -> None:
-                values[index] = event.value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    combined.trigger(list(values))
-
-            return _on_fire
-
-        for index, event in enumerate(events):
-            event.add_callback(_make(index))
-        return combined

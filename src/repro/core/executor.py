@@ -348,8 +348,7 @@ class ParallelExecutor:
     is the reference a parallel run must reproduce.  ``jobs>1`` fans the
     batch over a worker-process pool; results always come back in
     submission order.  Batches whose units cannot be pickled (e.g.
-    closures handed to :func:`~repro.core.sweep.rate_response_curve`)
-    fall back to the serial path instead of failing.
+    closures) fall back to the serial path instead of failing.
 
     Three things keep ``--jobs`` a speedup instead of a slowdown:
 

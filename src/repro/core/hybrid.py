@@ -23,7 +23,6 @@ inherited globals.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,10 +92,6 @@ def configure_engine(mode: Optional[str]) -> str:
     return _active_engine
 
 
-def active_engine() -> str:
-    return _active_engine
-
-
 def resolve_engine(mode: Optional[str]) -> str:
     """An explicit engine argument, or the process default."""
     if mode is None:
@@ -113,15 +108,3 @@ def _validated(mode: str) -> str:
         raise ValueError(
             f"unknown probe engine {mode!r} (expected one of {ENGINES})")
     return mode
-
-
-@contextmanager
-def engine_scope(mode: str):
-    """Temporarily switch the process engine (tests and comparisons)."""
-    global _active_engine
-    previous = _active_engine
-    _active_engine = _validated(mode)
-    try:
-        yield
-    finally:
-        _active_engine = previous

@@ -53,23 +53,17 @@ class LatencyRecorder:
     def __init__(self, warmup_until: float = 0.0):
         self.warmup_until = warmup_until
         self._samples: List[float] = []
-        self._dropped_warmup = 0
 
     def record(self, completion_time: float, latency: float) -> None:
         if latency < 0:
             raise ValueError(f"negative latency {latency}")
         if completion_time < self.warmup_until:
-            self._dropped_warmup += 1
             return
         self._samples.append(latency)
 
     @property
     def count(self) -> int:
         return len(self._samples)
-
-    @property
-    def warmup_count(self) -> int:
-        return self._dropped_warmup
 
     def percentile(self, q: float) -> float:
         """q in [0, 100]; returns +inf when no samples were kept."""
@@ -118,12 +112,6 @@ class ThroughputMeter:
             self.first_completion = completion_time
         self.last_completion = completion_time
 
-    def request_rate(self, window: float) -> float:
-        """Completed requests per second over an explicit window length."""
-        if window <= 0:
-            return 0.0
-        return self.requests / window
-
     def byte_rate(self, window: float) -> float:
         if window <= 0:
             return 0.0
@@ -160,6 +148,3 @@ class RunMetrics:
         if self.offered_rate <= 0:
             return True
         return self.completed_rate >= 0.98 * self.offered_rate
-
-    def latency_p99_us(self) -> float:
-        return self.latency_p99 / 1e-6

@@ -1,15 +1,13 @@
 """Queueing resources built on the event kernel.
 
 `Resource` models a pool of identical servers (e.g. the 8 cores of the
-BlueField-2 CPU) with a FIFO request queue.  `Store` is an unbounded or
-bounded FIFO buffer of items (e.g. the staging buffer between the SNIC CPU
-and the REM accelerator).
+BlueField-2 CPU) with a FIFO request queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque, Optional
 
 from .engine import Event, Simulator, SimulationError
 
@@ -47,14 +45,6 @@ class Resource:
         self._busy_area = 0.0
         self._last_change = 0.0
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
     def _account(self) -> None:
         now = self.sim.now
         self._busy_area += self._in_use * (now - self._last_change)
@@ -67,10 +57,6 @@ class Resource:
         if horizon <= 0:
             return 0.0
         return self._busy_area / (horizon * self.capacity)
-
-    def reset_utilization(self) -> None:
-        self._account()
-        self._busy_area = 0.0
 
     def request(self) -> Request:
         request = Request(self)
@@ -91,52 +77,3 @@ class Resource:
             self._waiting.popleft().trigger(self)
         else:
             self._in_use -= 1
-
-
-class Store:
-    """A FIFO buffer of items with optional capacity.
-
-    ``put`` returns an event that fires once the item is accepted (always
-    immediately for unbounded stores); ``get`` returns an event that fires
-    with the next item.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = ""):
-        if capacity < 1:
-            raise SimulationError("store capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()  # events carrying blocked items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.sim)
-        if self._getters:
-            self._getters.popleft().trigger(item)
-            event.trigger(None)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            event.trigger(None)
-        else:
-            event._value = item  # park the item on the blocked put
-            self._putters.append(event)
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                blocked = self._putters.popleft()
-                self._items.append(blocked.value)
-                blocked._value = None
-                blocked.trigger(None)
-            event.trigger(item)
-        else:
-            self._getters.append(event)
-        return event

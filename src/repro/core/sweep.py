@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..obs import metrics as obs_metrics
 from . import trace
 from .metrics import RunMetrics
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .executor import ParallelExecutor
 
 logger = logging.getLogger("repro.sweep")
 
@@ -41,16 +38,6 @@ class SweepResult:
     @property
     def goodput_gbps(self) -> float:
         return self.metrics.goodput_gbps
-
-    @property
-    def sustainable(self) -> bool:
-        """Did any probe actually sustain its offered rate?"""
-        return any(m.sustained for m in self.probes)
-
-    @property
-    def failed_probes(self) -> int:
-        """Probes whose ``run_at`` raised (recorded, not propagated)."""
-        return sum(1 for m in self.probes if m.extra.get("probe_failed"))
 
 
 def _failed_probe_metrics(rate: float, error: Exception) -> RunMetrics:
@@ -262,27 +249,3 @@ def find_max_sustainable_rate(
         # Even the floor rate violates: report the floor as the max point.
         return finish(low_rate, low_metrics)
     return ramp(low_rate, low_metrics)
-
-
-def rate_response_curve(
-    run_at: RunFn,
-    rates: List[float],
-    executor: Optional["ParallelExecutor"] = None,
-) -> Dict[float, RunMetrics]:
-    """Measure a fixed ladder of offered rates (used for Fig. 5 style plots).
-
-    The ladder points are mutually independent, so an optional
-    :class:`~repro.core.executor.ParallelExecutor` fans them across
-    worker processes.  ``run_at`` must then be a pure, picklable
-    function of the rate (module-level, deriving its own RNG streams);
-    closures that cannot be pickled are detected and run serially.
-    """
-    if executor is None:
-        return {rate: run_at(rate) for rate in rates}
-    from .executor import WorkUnit  # local import: avoid cycle at import time
-
-    units = [
-        WorkUnit(name=f"rate:{rate:.6g}", fn=run_at, args=(rate,))
-        for rate in rates
-    ]
-    return dict(zip(rates, executor.map(units)))

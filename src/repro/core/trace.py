@@ -167,10 +167,6 @@ def disable() -> None:
     TRACING = False
 
 
-def enabled() -> bool:
-    return TRACING
-
-
 def recorder() -> Optional[TraceRecorder]:
     return _recorder
 

@@ -1,43 +1,11 @@
 """Unit helpers.
 
 The kernel's base time unit is the second and the base data unit is the
-byte; these helpers keep experiment code readable and eliminate conversion
-mistakes (Gb/s vs GB/s is the classic one in NIC papers).
+byte; this helper keeps experiment code readable and eliminates the
+classic NIC-paper conversion mistake (Gb/s vs GB/s).
 """
 
 from __future__ import annotations
-
-# -- time ---------------------------------------------------------------
-
-NS = 1e-9
-US = 1e-6
-MS = 1e-3
-SECOND = 1.0
-MINUTE = 60.0
-HOUR = 3600.0
-
-
-def nanoseconds(value: float) -> float:
-    return value * NS
-
-
-def microseconds(value: float) -> float:
-    return value * US
-
-
-def milliseconds(value: float) -> float:
-    return value * MS
-
-
-def to_microseconds(seconds: float) -> float:
-    return seconds / US
-
-
-# -- data ---------------------------------------------------------------
-
-KB = 1024
-MB = 1024 * KB
-GB = 1024 * MB
 
 BITS_PER_BYTE = 8
 
@@ -45,40 +13,3 @@ BITS_PER_BYTE = 8
 def gbps_to_bytes_per_second(gbps: float) -> float:
     """Decimal gigabits per second -> bytes per second (network convention)."""
     return gbps * 1e9 / BITS_PER_BYTE
-
-
-def bytes_per_second_to_gbps(bps: float) -> float:
-    return bps * BITS_PER_BYTE / 1e9
-
-
-def packets_per_second(gbps: float, packet_bytes: int, overhead_bytes: int = 0) -> float:
-    """Packet rate achieving ``gbps`` of goodput at a given packet size.
-
-    ``overhead_bytes`` covers per-packet wire overhead (preamble, IFG,
-    Ethernet framing) when line-rate limits matter.
-    """
-    if packet_bytes <= 0:
-        raise ValueError("packet size must be positive")
-    return gbps_to_bytes_per_second(gbps) / (packet_bytes + overhead_bytes)
-
-
-# Ethernet per-packet wire overhead: preamble+SFD (8) + IFG (12).  The FCS
-# is already part of the minimum 64 B frame.
-ETHERNET_WIRE_OVERHEAD = 20
-# Minimum Ethernet frame payload handling: 64 B frames on the wire.
-MTU = 1500
-
-
-def line_rate_pps(gbps: float, packet_bytes: int) -> float:
-    """Maximum packets/s the wire itself allows at a given frame size."""
-    frame = max(packet_bytes, 64)
-    return gbps_to_bytes_per_second(gbps) / (frame + ETHERNET_WIRE_OVERHEAD)
-
-
-# -- energy ---------------------------------------------------------------
-
-KWH = 3.6e6  # joules per kilowatt-hour
-
-
-def joules_to_kwh(joules: float) -> float:
-    return joules / KWH

@@ -22,15 +22,16 @@ on that path at all).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster import TopologySpec, run_scenario, single_node_spec
-from ..cluster.scenario import ScenarioResult
+from ..cluster.scenario import ScenarioResult, run_scenario
+from ..cluster.topology import TopologySpec, single_node_spec
 from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
-from ..faults import FaultTimeline, outage_windows, rack_outage, rack_targets
+from ..faults.domains import outage_windows, rack_outage, rack_targets
+from ..faults.schedule import FaultTimeline
 from ..offload.loadbalancer import FleetOutcome, NodePathConfig, simulate_fleet
 from .measurement import cpu_service_seconds
 from .profiles import get_profile

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,9 +129,6 @@ class FunctionFaultReport:
 @dataclass
 class FaultStudyResult:
     reports: List[FunctionFaultReport]
-
-    def by_function(self) -> Dict[str, FunctionFaultReport]:
-        return {r.function: r for r in self.reports}
 
 
 # ---------------------------------------------------------------------------

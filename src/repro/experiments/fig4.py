@@ -24,7 +24,7 @@ from .measurement import (
     operating_point_cache_key,
     operating_point_json,
 )
-from .profiles import ALL_PROFILE_KEYS, FunctionProfile, get_profile
+from .profiles import FunctionProfile, get_profile
 from .registry import Experiment, ExperimentContext, register, smoke_tier
 
 logger = logging.getLogger("repro.fig4")

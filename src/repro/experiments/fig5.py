@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
 
 from ..core import hybrid
 from ..core.cache import cache_key
@@ -48,15 +47,6 @@ class Fig5Series:
 
     def max_achieved_gbps(self) -> float:
         return max((p.achieved_gbps for p in self.points), default=0.0)
-
-    def p99_at_max(self) -> float:
-        best = max(self.points, key=lambda p: p.achieved_gbps)
-        return best.p99_latency_s
-
-    def knee_gbps(self, p99_wall_s: float = 100e-6) -> float:
-        """Highest offered rate whose p99 stays under the wall."""
-        good = [p.offered_gbps for p in self.points if p.p99_latency_s <= p99_wall_s]
-        return max(good, default=0.0)
 
 
 def _rate_for_gbps(profile: FunctionProfile, gbps: float) -> float:

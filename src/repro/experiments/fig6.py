@@ -10,13 +10,11 @@ processing — Key Observation 5's data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..calibration import POWER
-from ..core.rng import RandomStreams
 from ..power.energy import EnergyReport, efficiency_ratio
-from .fig4 import FIG4_KEYS, Fig4Row, run_fig4
-from .registry import Experiment, ExperimentContext, register, smoke_tier
+from .fig4 import Fig4Row
+from .registry import Experiment, register, smoke_tier
 
 
 @dataclass
@@ -30,18 +28,6 @@ class Fig6Row:
     snic_device_w: float  # the SNIC while processing
     host_goodput_gbps: float
     snic_goodput_gbps: float
-
-    @property
-    def host_active_w(self) -> float:
-        return self.host_power_w - POWER.server_idle_w
-
-    @property
-    def snic_active_w(self) -> float:
-        return self.snic_power_w - POWER.server_idle_w
-
-    @property
-    def snic_device_active_w(self) -> float:
-        return self.snic_device_w - POWER.snic_idle_w
 
     @property
     def efficiency_ratio(self) -> float:
@@ -69,17 +55,6 @@ def rows_from_fig4(fig4_rows: Sequence[Fig4Row]) -> List[Fig6Row]:
             )
         )
     return rows
-
-
-def run_fig6(
-    keys: Sequence[str] = FIG4_KEYS,
-    samples: int = 300,
-    n_requests: int = 20_000,
-    streams: Optional[RandomStreams] = None,
-    engine: Optional[str] = None,
-) -> List[Fig6Row]:
-    return rows_from_fig4(
-        run_fig4(keys, samples, n_requests, streams, engine=engine))
 
 
 def format_fig6(rows: List[Fig6Row]) -> str:

@@ -49,7 +49,6 @@ from ..core.rng import RandomStreams
 from ..core.sweep import SweepResult, find_max_sustainable_rate
 from ..core.units import gbps_to_bytes_per_second
 from ..obs import metrics as obs_metrics
-from ..power.energy import EnergyReport
 from ..power.models import ComponentLoad, ServerPowerModel, SnicPowerModel
 from .profiles import FunctionProfile, get_profile
 
@@ -97,21 +96,6 @@ class OperatingPoint:
     @property
     def p99_latency_s(self) -> float:
         return self.metrics.latency_p99
-
-    @property
-    def energy_efficiency(self) -> float:
-        if self.server_power_w <= 0:
-            return 0.0
-        return self.goodput_gbps / self.server_power_w
-
-    def energy_report(self, label: str = "") -> EnergyReport:
-        return EnergyReport(
-            label=label or f"{self.profile_key}@{self.platform}",
-            throughput=self.goodput_gbps,
-            total_power_w=self.server_power_w,
-            device_power_w=self.device_power_w,
-            idle_power_w=POWER.server_idle_w,
-        )
 
 
 def operating_point_json(point: "OperatingPoint") -> Dict[str, object]:
@@ -707,7 +691,7 @@ def run_validated_ladder(
     A failed spot check degrades that side back to batched simulation,
     so the fast path only ever engages inside tolerance.  The knee
     window itself is always simulated, which keeps every p99-wall
-    crossing (Fig. 5's ``knee_gbps``) simulation-backed.
+    crossing (Fig. 5's knee) simulation-backed.
     """
     rates = [float(rate) for rate in rates]
     if len(rates) <= 2:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.executor import ParallelExecutor, WorkUnit
-from ..core.queueing import outcome_to_metrics, simulate_batch_server, simulate_sharded
+from ..core.queueing import outcome_to_metrics
 from ..core.rng import RandomStreams
 from ..core.units import gbps_to_bytes_per_second
 from ..calibration import ACCELERATORS, PLATFORMS

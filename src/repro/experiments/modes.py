@@ -17,7 +17,6 @@ from ..core.engine import Simulator
 from ..testbed.eswitch import Destination, OperationMode
 from ..testbed.server import (
     SnicServer,
-    consume_all,
     forward_all,
     reply_all,
     run_udp_echo_measurement,

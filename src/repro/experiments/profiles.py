@@ -73,12 +73,6 @@ class FunctionProfile:
     power_extra_w: Dict[str, float] = field(default_factory=dict)
     notes: str = ""
 
-    def mean_work(self) -> WorkUnits:
-        total = WorkUnits()
-        for sample in self.work_samples:
-            total.merge(sample)
-        return total.scaled(1.0 / max(len(self.work_samples), 1))
-
 
 def _rng(key: str) -> np.random.Generator:
     mixed = 0xACE5

@@ -18,7 +18,6 @@ from ..core.executor import ParallelExecutor, WorkUnit, map_cached
 from ..core.rng import RandomStreams
 from .fig4 import snic_platform_for
 from .measurement import (
-    ACCEL_PLATFORM,
     compute_operating_point,
     measure_operating_point,
     operating_point_cache_key,

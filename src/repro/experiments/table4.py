@@ -17,7 +17,7 @@ from ..core.cache import cache_key, get_cache
 from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from ..core.units import gbps_to_bytes_per_second
-from ..power.models import ServerPowerModel, SnicPowerModel
+from ..power.models import ServerPowerModel
 from ..workloads.traces import RateTrace, hyperscaler_trace
 from .measurement import (
     ACCEL_PLATFORM,

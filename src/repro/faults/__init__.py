@@ -3,63 +3,8 @@
 The simulator's happy path answers "what does the SNIC buy at steady
 state"; this package answers "what happens when the offload path stops
 keeping up".  It provides deterministic fault schedules (one-shot,
-periodic, MTBF/MTTR stochastic), a DES-driven injector that toggles
-component hooks at episode boundaries, health models interpreting outage /
-thermal-throttle / core-loss faults, and timeout-retry-with-backoff
-recovery mechanics.  The availability experiment lives in
-:mod:`repro.experiments.faults`.
+periodic, MTBF/MTTR stochastic), correlated rack/spine fault domains,
+health models interpreting outage / thermal-throttle / core-loss faults,
+and timeout-retry-with-backoff recovery mechanics.  The availability
+experiment lives in :mod:`repro.experiments.faults`.
 """
-
-from .domains import (
-    correlated,
-    node_target,
-    outage_windows,
-    rack_outage,
-    rack_targets,
-    spine_outage,
-    spine_target,
-)
-from .injector import FaultInjector, FaultTarget, InjectionRecord
-from .models import ComponentHealth, SnicHealth, health_report, healthy_snic
-from .retry import RetryOutcome, RetryPolicy, retrying_process, simulate_retries
-from .schedule import (
-    KIND_BURST_LOSS,
-    KIND_CORE_LOSS,
-    KIND_DEGRADE,
-    KIND_LINK_FLAP,
-    KIND_OUTAGE,
-    ActiveFault,
-    FaultSpec,
-    FaultTimeline,
-    materialize,
-)
-
-__all__ = [
-    "FaultInjector",
-    "FaultTarget",
-    "InjectionRecord",
-    "ComponentHealth",
-    "SnicHealth",
-    "health_report",
-    "healthy_snic",
-    "RetryOutcome",
-    "RetryPolicy",
-    "retrying_process",
-    "simulate_retries",
-    "KIND_BURST_LOSS",
-    "KIND_CORE_LOSS",
-    "KIND_DEGRADE",
-    "KIND_LINK_FLAP",
-    "KIND_OUTAGE",
-    "ActiveFault",
-    "FaultSpec",
-    "FaultTimeline",
-    "materialize",
-    "correlated",
-    "node_target",
-    "outage_windows",
-    "rack_outage",
-    "rack_targets",
-    "spine_outage",
-    "spine_target",
-]

@@ -1,25 +1,23 @@
-"""Correlated fault domains: rack- and switch-scope schedules.
+"""Correlated fault domains: rack-scope schedules.
 
 Single-node fault schedules treat every target independently; at cluster
 scale the interesting failures are *correlated* — a rack PDU trip takes
-every node in the rack down together, a spine reboot blackholes every
-flow hashed onto it.  This module expands one logical event into a
-per-target :class:`~repro.faults.schedule.FaultSpec` family sharing a
-``correlation`` key, so :func:`~repro.faults.schedule.materialize` draws
-each member from a freshly re-created substream and the whole domain
-fails and recovers in lockstep (see the ``correlation`` field).
+every node in the rack down together.  This module expands one logical
+event into a per-target :class:`~repro.faults.schedule.FaultSpec` family
+sharing a ``correlation`` key, so
+:func:`~repro.faults.schedule.materialize` draws each member from a
+freshly re-created substream and the whole domain fails and recovers in
+lockstep (see the ``correlation`` field).
 
-Targets follow the cluster naming convention: ``node:<id>`` for server
-nodes and ``spine:<s>`` for spine switches, which
-:mod:`repro.cluster.fabric` and :class:`repro.cluster.node.Node`
-understand.  :func:`outage_windows` flattens a materialized timeline
-back into per-target ``(start, end)`` windows — the shape
+Targets follow the cluster naming convention ``node:<id>``.
+:func:`outage_windows` flattens a materialized timeline back into
+per-target ``(start, end)`` windows — the shape
 :class:`repro.offload.loadbalancer.NodePathConfig` expects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .schedule import (
     KIND_OUTAGE,
@@ -35,10 +33,6 @@ from .schedule import (
 
 def node_target(node_id: int) -> str:
     return f"node:{node_id}"
-
-
-def spine_target(spine: int) -> str:
-    return f"spine:{spine}"
 
 
 def rack_targets(topo, rack: int) -> List[str]:
@@ -88,21 +82,6 @@ def rack_outage(topo, rack: int, *, mtbf_s: float = 0.0, mttr_s: float = 0.0,
                 name: Optional[str] = None) -> List[FaultSpec]:
     """A whole-rack power event: every node in the rack down together."""
     return correlated(name or f"rack{rack}-power", rack_targets(topo, rack),
-                      kind=KIND_OUTAGE, mtbf_s=mtbf_s, mttr_s=mttr_s,
-                      start_s=start_s, duration_s=duration_s)
-
-
-def spine_outage(topo, spine: int, *, mtbf_s: float = 0.0, mttr_s: float = 0.0,
-                 start_s: float = 0.0, duration_s: float = 0.0,
-                 name: Optional[str] = None) -> List[FaultSpec]:
-    """A spine-switch event: one spec targeting ``spine:<s>``.
-
-    Kept as a (single-member) correlated family for symmetry, so callers
-    can concatenate rack and spine schedules without special cases.
-    """
-    if not 0 <= spine < topo.spines:
-        raise ValueError(f"spine {spine} outside topology ({topo.spines})")
-    return correlated(name or f"spine{spine}-reboot", [spine_target(spine)],
                       kind=KIND_OUTAGE, mtbf_s=mtbf_s, mttr_s=mttr_s,
                       start_s=start_s, duration_s=duration_s)
 

@@ -2,24 +2,18 @@
 
 Production request paths survive lossy or flapping links by retransmitting
 after a timeout; the backoff doubles per attempt and is jittered so that
-synchronized clients do not retry in lockstep.  Two entry points:
-
-* :func:`retrying_process` — a DES process wrapper: keeps calling an
-  attempt factory until one succeeds or the policy gives up, sleeping the
-  backoff between attempts on the kernel clock;
-* :func:`simulate_retries` — a vectorized form for the fluid fault
-  experiments: given per-attempt loss draws, returns delivery outcomes and
-  the retry delay each request accumulated.
+synchronized clients do not retry in lockstep.  :func:`simulate_retries`
+is the vectorized form the fluid fault experiments use: given per-attempt
+loss draws, it returns delivery outcomes and the retry delay each request
+accumulated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-from ..core.engine import Event, Simulator
 
 
 @dataclass(frozen=True)
@@ -78,43 +72,6 @@ class RetryOutcome:
     delivered: bool
     attempts: int
     extra_delay_s: float  # retry/backoff time added on top of base service
-
-
-def retrying_process(
-    sim: Simulator,
-    attempt: Callable[[int], Event],
-    policy: RetryPolicy,
-    rng: np.random.Generator,
-) -> Generator:
-    """DES process body: retry ``attempt`` under ``policy``.
-
-    ``attempt(i)`` must return an Event that fires with a truthy value on
-    success and falsy on failure (loss/timeout).  The process's own event
-    fires with a :class:`RetryOutcome`.
-    """
-    started = sim.now
-    for i in range(policy.max_attempts):
-        result = yield attempt(i)
-        if result:
-            return RetryOutcome(
-                delivered=True, attempts=i + 1, extra_delay_s=sim.now - started
-            )
-        if i + 1 >= policy.max_attempts:
-            break
-        backoff = policy.backoff_s(i, rng)
-        if not policy.within_deadline(sim.now - started + backoff):
-            # Total-elapsed deadline: the next attempt could not start
-            # before the budget runs out, so give up now.
-            return RetryOutcome(
-                delivered=False, attempts=i + 1,
-                extra_delay_s=sim.now - started,
-            )
-        yield sim.timeout(backoff)
-    return RetryOutcome(
-        delivered=False,
-        attempts=policy.max_attempts,
-        extra_delay_s=sim.now - started,
-    )
 
 
 def simulate_retries(

@@ -15,7 +15,7 @@ active at a time ``t``, or for a boolean mask over an arrival vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from ..core.rng import RandomStreams
 KIND_OUTAGE = "outage"  # component fully unavailable
 KIND_DEGRADE = "degrade"  # thermal throttle: service times x severity
 KIND_CORE_LOSS = "core-loss"  # severity = fraction of cores lost
-KIND_LINK_FLAP = "link-flap"  # link down, all packets lost
 KIND_BURST_LOSS = "burst-loss"  # correlated (Gilbert-Elliott) loss episode
 
 MODE_ONE_SHOT = "one-shot"
@@ -146,9 +145,7 @@ class FaultTimeline:
     """Materialized schedule: which faults are active when.
 
     Built once per run from a list of specs; queried per packet (scalar) or
-    per arrival vector (numpy mask) by fault-aware simulators, and walked
-    episode-by-episode by the DES :class:`~repro.faults.injector.
-    FaultInjector`.
+    per arrival vector (numpy mask) by fault-aware simulators.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], horizon_s: float,
@@ -161,15 +158,6 @@ class FaultTimeline:
 
     def episodes(self, name: str) -> List[Episode]:
         return list(self._episodes[name])
-
-    def all_episodes(self) -> List[ActiveFault]:
-        out = [
-            ActiveFault(spec, start, end)
-            for spec in self.specs
-            for start, end in self._episodes[spec.name]
-        ]
-        out.sort(key=lambda a: a.start_s)
-        return out
 
     def active(self, t: float, target: Optional[str] = None,
                kind: Optional[str] = None) -> List[ActiveFault]:
@@ -206,25 +194,3 @@ class FaultTimeline:
             for start, end in self._episodes[spec.name]:
                 mask |= (times >= start) & (times < end)
         return mask
-
-    def downtime_s(self, target: str, kind: Optional[str] = None) -> float:
-        """Total (union) time a matching fault is active."""
-        windows: List[Episode] = []
-        for spec in self.specs:
-            if spec.target != target:
-                continue
-            if kind is not None and spec.kind != kind:
-                continue
-            windows.extend(self._episodes[spec.name])
-        if not windows:
-            return 0.0
-        windows.sort()
-        total = 0.0
-        cur_start, cur_end = windows[0]
-        for start, end in windows[1:]:
-            if start > cur_end:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        return total + (cur_end - cur_start)

@@ -1,27 +1,22 @@
-"""Okapi BM25 ranking over an inverted index (the BM25 benchmark, §3.4).
+"""Okapi BM25 query work over an inverted index (the BM25 benchmark, §3.4).
 
-A real search-engine ranking path: documents are tokenized into an
-inverted index with per-term postings; a query scores every document that
-contains a query term with the standard BM25 formula (k1/b parameters per
-Robertson & Zaragoza).  Work units: one ``bm25_query_term`` per query term
-(seek + idf) and one ``bm25_posting`` per posting traversed — so the 100-
-vs 1 K-document configurations of the paper differ in postings walked per
-query, not in code path.
+Documents are tokenized into an inverted index with per-term postings; a
+BM25 query scores every document that contains a query term.  Work
+units: one ``bm25_query_term`` per query term (seek + idf) and one
+``bm25_posting`` per posting traversed — so the 100- vs 1 K-document
+configurations of the paper differ in postings walked per query, not in
+code path.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..core.work import WorkUnits
 
 _TOKEN = re.compile(r"[a-z0-9]+")
-
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
 
 
 def tokenize(text: str) -> List[str]:
@@ -43,12 +38,6 @@ class InvertedIndex:
     def doc_count(self) -> int:
         return len(self.doc_lengths)
 
-    @property
-    def average_doc_length(self) -> float:
-        if not self.doc_lengths:
-            return 0.0
-        return sum(self.doc_lengths.values()) / len(self.doc_lengths)
-
     def add_document(self, doc_id: int, text: str) -> None:
         if doc_id in self.doc_lengths:
             raise ValueError(f"duplicate document id {doc_id}")
@@ -62,54 +51,20 @@ class InvertedIndex:
 
 
 class Bm25Ranker:
-    """Scores queries against an index; returns top-k and work units."""
+    """Prices BM25 queries against an index."""
 
-    def __init__(self, index: InvertedIndex, k1: float = DEFAULT_K1, b: float = DEFAULT_B):
+    def __init__(self, index: InvertedIndex):
         if index.doc_count == 0:
             raise ValueError("index is empty")
         self.index = index
-        self.k1 = k1
-        self.b = b
-
-    def idf(self, term: str) -> float:
-        n = self.index.doc_count
-        df = len(self.index.postings.get(term, ()))
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-
-    def score(self, query: str, top_k: int = 10) -> Tuple[List[Tuple[int, float]], WorkUnits]:
-        terms = tokenize(query)
-        work = WorkUnits()
-        scores: Dict[int, float] = {}
-        avg_length = self.index.average_doc_length
-        for term in terms:
-            work.add("bm25_query_term", 1.0)
-            postings = self.index.postings.get(term)
-            if not postings:
-                continue
-            idf = self.idf(term)
-            for posting in postings:
-                work.add("bm25_posting", 1.0)
-                doc_length = self.index.doc_lengths[posting.doc_id]
-                tf = posting.term_frequency
-                denominator = tf + self.k1 * (
-                    1 - self.b + self.b * doc_length / avg_length
-                )
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + (
-                    idf * tf * (self.k1 + 1) / denominator
-                )
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:top_k]
-        return ranked, work
 
     def work_units(self, query: str) -> WorkUnits:
-        """The :meth:`score` work tally without ranking.
+        """The work of scoring ``query``, without ranking.
 
         Work units are one ``bm25_query_term`` per query term and one
         ``bm25_posting`` per posting traversed — both fully determined
-        by postings-list lengths, so the tally (including float-exact
-        counts: n additions of 1.0 equal float(n) here) is identical to
-        what :meth:`score` returns.  Profile builders use this: they
-        only keep the work counts, and pricing a 1 K-document corpus
-        does not need the scores re-ranked per sample.
+        by postings-list lengths, so pricing a 1 K-document corpus does
+        not need the scores ranked per sample.
         """
         work = WorkUnits()
         for term in tokenize(query):

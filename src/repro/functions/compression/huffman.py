@@ -9,8 +9,7 @@ lengths, so the header fully determines the code.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 MAX_CODE_LENGTH = 15
 
@@ -152,16 +151,6 @@ class Decoder:
             if symbol is not None:
                 return symbol
         raise ValueError("invalid Huffman code in stream")
-
-
-def encode_symbols(
-    symbols: Sequence[int], codes: Dict[int, Tuple[int, int]], writer: BitWriter
-) -> int:
-    """Write all symbols; returns the number of symbols written."""
-    for symbol in symbols:
-        code, length = codes[symbol]
-        writer.write(code, length)
-    return len(symbols)
 
 
 def serialize_lengths(lengths: Dict[int, int], alphabet_size: int) -> bytes:

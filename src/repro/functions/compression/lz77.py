@@ -10,7 +10,7 @@ and chain probes performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from ...core.work import WorkUnits
 

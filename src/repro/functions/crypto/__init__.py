@@ -1,6 +1,2 @@
 """Cryptography functions (the PKA algorithm families, §2.2 A2):
-AES-128, SHA-1, RSA, DSA, and elliptic-curve (ECDSA over P-256)."""
-
-from . import aes, dsa, ecc, rsa, sha1
-
-__all__ = ["aes", "dsa", "ecc", "rsa", "sha1"]
+AES-128, SHA-1 and RSA."""

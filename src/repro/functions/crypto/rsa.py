@@ -1,28 +1,17 @@
-"""RSA key generation, sign/verify, encrypt/decrypt (textbook + CRT).
+"""RSA work accounting: the cost of one modular exponentiation.
 
-Implements Miller-Rabin prime generation and CRT-accelerated private-key
-operations.  Work accounting counts 64-bit limb multiplies: a k-limb
-modular multiply costs ~k^2 limb multiplies, and a w-bit modular
-exponentiation performs ~w squarings plus ~w/2 multiplies (square-and-
-multiply), which is what both OpenSSL's software path and the BlueField-2
-PKA engine fundamentally execute.
+Work is counted in 64-bit limb multiplies: a k-limb modular multiply
+costs ~k^2 limb multiplies, and a w-bit modular exponentiation performs
+~w squarings plus ~w/2 multiplies (square-and-multiply), which is what
+both OpenSSL's software path and the BlueField-2 PKA engine
+fundamentally execute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
-
 from ...core.work import WorkUnits
 
 LIMB_BITS = 64
-
-_SMALL_PRIMES = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-]
 
 
 def modexp_work(exponent: int, modulus_bits: int) -> WorkUnits:
@@ -32,138 +21,3 @@ def modexp_work(exponent: int, modulus_bits: int) -> WorkUnits:
     multiplies = max(bin(exponent).count("1") - 1, 0)
     limb_muls = (squarings + multiplies) * limbs * limbs
     return WorkUnits({"rsa_limb_mul": float(limb_muls)})
-
-
-def random_int(bits: int, rng: np.random.Generator) -> int:
-    """A uniform random integer with exactly ``bits`` bits (top bit set)."""
-    if bits < 2:
-        raise ValueError("need at least 2 bits")
-    words = rng.integers(0, 2**32, size=(bits + 31) // 32, dtype=np.uint64)
-    value = 0
-    for word in words:
-        value = (value << 32) | int(word)
-    value &= (1 << bits) - 1
-    value |= 1 << (bits - 1)
-    return value
-
-
-def _is_probable_prime(n: int, rng: np.random.Generator, rounds: int = 24) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = int(rng.integers(2, min(n - 2, 2**63 - 1)))
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def generate_prime(bits: int, rng: np.random.Generator) -> int:
-    if bits < 8:
-        raise ValueError("prime size too small")
-    while True:
-        # assemble a random odd candidate with the top bit set
-        words = rng.integers(0, 2**32, size=(bits + 31) // 32, dtype=np.uint64)
-        candidate = 0
-        for word in words:
-            candidate = (candidate << 32) | int(word)
-        candidate &= (1 << bits) - 1
-        candidate |= (1 << (bits - 1)) | 1
-        if _is_probable_prime(candidate, rng):
-            return candidate
-
-
-def _modinv(a: int, m: int) -> int:
-    g, x = _extended_gcd(a % m, m)
-    if g != 1:
-        raise ValueError("inverse does not exist")
-    return x % m
-
-
-def _extended_gcd(a: int, b: int) -> Tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s
-
-
-@dataclass(frozen=True)
-class RsaKey:
-    n: int
-    e: int
-    d: int
-    p: int
-    q: int
-    d_p: int
-    d_q: int
-    q_inv: int
-
-    @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
-
-def generate_key(bits: int, rng: np.random.Generator, e: int = 65537) -> RsaKey:
-    """Generate an RSA key pair of roughly ``bits`` modulus size."""
-    half = bits // 2
-    while True:
-        p = generate_prime(half, rng)
-        q = generate_prime(bits - half, rng)
-        if p == q:
-            continue
-        n = p * q
-        phi = (p - 1) * (q - 1)
-        if phi % e == 0:
-            continue
-        d = _modinv(e, phi)
-        return RsaKey(
-            n=n, e=e, d=d, p=p, q=q,
-            d_p=d % (p - 1), d_q=d % (q - 1), q_inv=_modinv(q, p),
-        )
-
-
-def encrypt(message: int, key: RsaKey) -> Tuple[int, WorkUnits]:
-    """Public-key operation m^e mod n."""
-    if not 0 <= message < key.n:
-        raise ValueError("message out of range")
-    return pow(message, key.e, key.n), modexp_work(key.e, key.bits)
-
-
-def decrypt(ciphertext: int, key: RsaKey) -> Tuple[int, WorkUnits]:
-    """Private-key operation via CRT (two half-size exponentiations)."""
-    if not 0 <= ciphertext < key.n:
-        raise ValueError("ciphertext out of range")
-    m_p = pow(ciphertext % key.p, key.d_p, key.p)
-    m_q = pow(ciphertext % key.q, key.d_q, key.q)
-    h = (key.q_inv * (m_p - m_q)) % key.p
-    message = m_q + h * key.q
-    work = modexp_work(key.d_p, key.p.bit_length())
-    work.merge(modexp_work(key.d_q, key.q.bit_length()))
-    return message, work
-
-
-def sign(message_digest: int, key: RsaKey) -> Tuple[int, WorkUnits]:
-    """RSA signature = private-key operation on the digest."""
-    return decrypt(message_digest, key)
-
-
-def verify(signature: int, message_digest: int, key: RsaKey) -> Tuple[bool, WorkUnits]:
-    recovered, work = encrypt(signature, key)
-    return recovered == message_digest, work

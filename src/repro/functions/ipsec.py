@@ -14,7 +14,7 @@ at packet rate" workload the PKA engine exists for.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.work import WorkUnits

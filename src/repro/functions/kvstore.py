@@ -10,8 +10,8 @@ the experiment layer (it dominates on the SNIC CPU, Key Observation 1).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.work import WorkUnits
 
@@ -87,10 +87,6 @@ class KeyValueStore:
     def __len__(self) -> int:
         return len(self._data)
 
-    @property
-    def memory_used(self) -> int:
-        return self._memory_used
-
     def _entry_size(self, key: bytes, value: bytes) -> int:
         return len(key) + len(value) + 64  # object overhead approximation
 
@@ -120,7 +116,7 @@ class KeyValueStore:
         """Bulk :meth:`set` of ``(key, value)`` pairs with no TTL (a YCSB
         load phase); returns how many were written.
 
-        Leaves exactly the entries, LRU order, stats and ``memory_used``
+        Leaves exactly the entries, LRU order, stats and memory accounting
         that one ``set`` per pair would, without building a WorkUnits per
         pair.  A store with a ``maxmemory`` budget takes the per-pair path,
         since every write may evict.

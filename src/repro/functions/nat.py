@@ -64,15 +64,6 @@ class NatTable:
         self.translated += 1
         return (proto, src_ip, src_port, mapping.private_ip, mapping.private_port), work
 
-    def translate_egress(
-        self, five_tuple: FiveTuple, public_ip: int, public_port: int
-    ) -> Tuple[FiveTuple, WorkUnits]:
-        """Rewrite source (private -> public)."""
-        proto, _src_ip, _src_port, dst_ip, dst_port = five_tuple
-        work = WorkUnits({self._lookup_kind(): 1.0, "nat_rewrite": 1.0})
-        self.translated += 1
-        return (proto, public_ip, public_port, dst_ip, dst_port), work
-
 
 def build_random_table(entries: int, rng: np.random.Generator) -> NatTable:
     """A NAT table with ``entries`` random mappings (paper: 10 K and 1 M)."""

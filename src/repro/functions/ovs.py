@@ -18,7 +18,7 @@ Work units: ``flow_lookup`` per cache hit handled in software,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.work import WorkUnits
@@ -128,9 +128,3 @@ class ESwitchDatapath:
             entry.in_hardware = True
             self.offloaded[key] = entry
         return "software", work
-
-    def hardware_hit_fraction(self) -> float:
-        stats = self.flow_table.stats
-        if stats.packets == 0:
-            return 0.0
-        return stats.hardware_forwards / stats.packets

@@ -1,16 +1,1 @@
 """Multi-pattern regular-expression matching (the REM function, §2.2 A1)."""
-
-from .engine import MultiPatternMatcher, ScanStats
-from .parser import RegexSyntaxError, parse
-from .rulesets import RULESET_NAMES, RuleSet, compile_ruleset, load_ruleset
-
-__all__ = [
-    "MultiPatternMatcher",
-    "ScanStats",
-    "RegexSyntaxError",
-    "parse",
-    "RULESET_NAMES",
-    "RuleSet",
-    "compile_ruleset",
-    "load_ruleset",
-]

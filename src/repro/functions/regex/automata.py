@@ -144,10 +144,6 @@ class Dfa:
     start: int
     depth_class: List[int]
 
-    @property
-    def state_count(self) -> int:
-        return len(self.accepts)
-
 
 def determinize(nfa: Nfa, max_states: int = 20000) -> Dfa:
     """Subset construction with a search-mode self-looping start state."""

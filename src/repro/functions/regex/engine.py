@@ -63,10 +63,6 @@ class MultiPatternMatcher:
         self.patterns = list(patterns)
         self.dfa: Dfa = _compile_patterns(tuple(self.patterns), max_states)
 
-    @property
-    def state_count(self) -> int:
-        return self.dfa.state_count
-
     def scan(self, payload: bytes) -> Tuple[List[Tuple[int, int]], ScanStats]:
         """Scan ``payload``; return (matches, stats).
 
@@ -99,14 +95,3 @@ class MultiPatternMatcher:
             deep_visits=deep_visits,
             matches=len(matches),
         )
-
-    def contains_match(self, payload: bytes) -> bool:
-        """Early-exit check: does any pattern occur in the payload?"""
-        transitions = self.dfa.transitions
-        accepts = self.dfa.accepts
-        state = self.dfa.start
-        for byte in payload:
-            state = transitions[state * 256 + byte]
-            if accepts[state]:
-                return True
-        return False

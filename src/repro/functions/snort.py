@@ -9,11 +9,11 @@ engine, and matches produce alerts.  Work per packet: header evaluation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..core.work import WorkUnits
-from .regex import MultiPatternMatcher
+from .regex.engine import MultiPatternMatcher
 from .regex.rulesets import RuleSet, load_ruleset
 
 
@@ -84,16 +84,3 @@ class IntrusionDetector:
         self.alerts.extend(new_alerts)
         self.stats.alerts += len(new_alerts)
         return new_alerts, work
-
-
-def inspect_stream(
-    detector: IntrusionDetector, packets: Sequence[PacketMeta]
-) -> Tuple[int, WorkUnits]:
-    """Inspect a packet stream; returns (alert_count, total work)."""
-    total = WorkUnits()
-    alerts = 0
-    for packet in packets:
-        new_alerts, work = detector.inspect(packet)
-        alerts += len(new_alerts)
-        total.merge(work)
-    return alerts, total

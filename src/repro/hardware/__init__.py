@@ -1,53 +1,1 @@
 """Hardware specifications of the evaluated testbed (Tables 1-2)."""
-
-from .specs import (
-    BLUEFIELD2,
-    BLUEFIELD2_CPU,
-    BLUEFIELD2_NIC,
-    CLIENT,
-    CONNECTX6_DX,
-    ELECTRICITY_USD_PER_KWH,
-    HOST_CPU,
-    PAPER_HOST_CORES,
-    PRICES_USD,
-    NODE_SPECS,
-    SERVER,
-    SERVER_LIFETIME_YEARS,
-    AcceleratorSpec,
-    CacheSpec,
-    CpuSpec,
-    IsaFeature,
-    MemorySpec,
-    NicSpec,
-    NodeSpec,
-    PcieSpec,
-    ServerSpec,
-    SnicSpec,
-    operation_mode_paths,
-)
-
-__all__ = [
-    "BLUEFIELD2",
-    "BLUEFIELD2_CPU",
-    "BLUEFIELD2_NIC",
-    "CLIENT",
-    "CONNECTX6_DX",
-    "ELECTRICITY_USD_PER_KWH",
-    "HOST_CPU",
-    "PAPER_HOST_CORES",
-    "PRICES_USD",
-    "NODE_SPECS",
-    "SERVER",
-    "SERVER_LIFETIME_YEARS",
-    "AcceleratorSpec",
-    "CacheSpec",
-    "CpuSpec",
-    "IsaFeature",
-    "MemorySpec",
-    "NicSpec",
-    "NodeSpec",
-    "PcieSpec",
-    "ServerSpec",
-    "SnicSpec",
-    "operation_mode_paths",
-]

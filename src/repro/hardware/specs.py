@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 
 class IsaFeature(str, Enum):
@@ -252,15 +252,6 @@ class NodeSpec:
     nic: Optional[NicSpec]
 
     @property
-    def nic_gbps(self) -> float:
-        """Line rate of the node's fabric attachment."""
-        if self.snic is not None:
-            return self.snic.nic.port_gbps
-        if self.nic is not None:
-            return self.nic.port_gbps
-        raise ValueError(f"node {self.name!r} has no network attachment")
-
-    @property
     def price_usd(self) -> float:
         """Component capex from the paper's price table (§5.2)."""
         total = 0.0
@@ -290,17 +281,3 @@ NODE_SPECS: Dict[str, NodeSpec] = {
         server=None, snic=BLUEFIELD2, nic=None,
     ),
 }
-
-
-def operation_mode_paths() -> Dict[str, Tuple[str, ...]]:
-    """Packet paths for the two BlueField-2 operation modes (§2.3).
-
-    On-path: everything traverses the SNIC CPU complex first; off-path: the
-    eSwitch forwards directly by destination MAC.  The paper (and this
-    reproduction) evaluates on-path only — off-path support was
-    discontinued and the accelerators need on-path.
-    """
-    return {
-        "on-path": ("wire", "eswitch", "snic_cpu", "pcie", "host_cpu"),
-        "off-path": ("wire", "eswitch", "host_cpu"),
-    }

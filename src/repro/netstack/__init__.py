@@ -1,34 +1,1 @@
-"""Networking stacks: packets, links, UDP, TCP, DPDK, RDMA."""
-
-from .link import DuplexChannel, GilbertElliottLoss, Link
-from .packet import Flow, Packet, format_ip, ip
-from .udp import UdpEndpoint, UdpSocket, run_echo_server
-from .tcp import TcpConnection, TcpEndpoint, TcpListener, TcpState
-from .dpdk import PollModePort, RxRing, run_poll_loop
-from .rdma import Completion, MemoryRegion, OpCode, QueuePair, RdmaError, RdmaNic
-
-__all__ = [
-    "DuplexChannel",
-    "GilbertElliottLoss",
-    "Link",
-    "Flow",
-    "Packet",
-    "format_ip",
-    "ip",
-    "UdpEndpoint",
-    "UdpSocket",
-    "run_echo_server",
-    "TcpConnection",
-    "TcpEndpoint",
-    "TcpListener",
-    "TcpState",
-    "PollModePort",
-    "RxRing",
-    "run_poll_loop",
-    "Completion",
-    "MemoryRegion",
-    "OpCode",
-    "QueuePair",
-    "RdmaError",
-    "RdmaNic",
-]
+"""Networking stacks: packets, links and TCP."""

@@ -11,11 +11,8 @@ Loss comes in three flavours:
 * bursty correlated loss (:class:`GilbertElliottLoss`) — a two-state
   Markov chain where drops cluster into episodes, as congestion loss does
   in real fabrics;
-* link flaps — the link goes administratively down for a window and every
-  packet sent meanwhile is lost.  Flaps are driven either directly via
-  :meth:`Link.set_down` or by attaching the link to a
-  :class:`~repro.faults.injector.FaultInjector` (the link implements the
-  fault-target protocol for ``link-flap`` / ``outage`` faults).
+* link flaps — while ``Link.down`` is set the link is administratively
+  down and every packet sent meanwhile is lost.
 """
 
 from __future__ import annotations
@@ -65,15 +62,6 @@ class GilbertElliottLoss:
         self.loss_bad = loss_bad
         self.loss_good = loss_good
         self.bad = False
-
-    @property
-    def steady_state_loss(self) -> float:
-        """Long-run loss fraction of the chain."""
-        denom = self.p_good_to_bad + self.p_bad_to_good
-        if denom == 0.0:
-            return self.loss_bad if self.bad else self.loss_good
-        bad_fraction = self.p_good_to_bad / denom
-        return bad_fraction * self.loss_bad + (1 - bad_fraction) * self.loss_good
 
     def lost(self, rng: np.random.Generator) -> bool:
         if self.bad:
@@ -136,22 +124,6 @@ class Link:
         """
         return max(0.0, self._busy_until - self.sim.now) * self.bytes_per_second
 
-    def set_down(self, down: bool) -> None:
-        """Administratively flap the link; packets sent while down are lost."""
-        self.down = down
-
-    # -- fault-target protocol (repro.faults.injector) -----------------------
-
-    def fault_begin(self, fault) -> None:
-        if fault.spec.kind in ("link-flap", "outage"):
-            self.set_down(True)
-
-    def fault_end(self, fault) -> None:
-        if fault.spec.kind in ("link-flap", "outage"):
-            self.set_down(False)
-
-    # ------------------------------------------------------------------------
-
     def attach(self, receiver: Receiver) -> None:
         self.receiver = receiver
 
@@ -205,17 +177,3 @@ class Link:
             self.receiver(fired.value)
 
         event.add_callback(_deliver)
-
-
-class DuplexChannel:
-    """A pair of links between two endpoints."""
-
-    def __init__(self, sim: Simulator, gbps: float = 100.0,
-                 propagation_s: float = 500e-9,
-                 loss_probability: float = 0.0,
-                 rng: Optional[np.random.Generator] = None,
-                 jitter_s: float = 0.0):
-        self.forward = Link(sim, gbps, propagation_s, loss_probability, rng,
-                            jitter_s)
-        self.backward = Link(sim, gbps, propagation_s, loss_probability, rng,
-                             jitter_s)

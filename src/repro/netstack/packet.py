@@ -1,9 +1,9 @@
-"""Packet and flow primitives shared by the stack models."""
+"""Packet primitives shared by the stack models."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 FiveTuple = Tuple[int, int, int, int, int]  # proto, src_ip, src_port, dst_ip, dst_port
 
@@ -69,20 +69,3 @@ def ip(a: int, b: int, c: int, d: int) -> int:
         if not 0 <= octet <= 255:
             raise ValueError("bad IPv4 octet")
     return (a << 24) | (b << 16) | (c << 8) | d
-
-
-def format_ip(address: int) -> str:
-    return ".".join(str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-@dataclass
-class Flow:
-    """A unidirectional packet flow description used by generators."""
-
-    five_tuple: FiveTuple
-    packet_bytes: int
-    rate_pps: float
-    start: float = 0.0
-    duration: Optional[float] = None
-    label: str = ""
-    _sent: int = field(default=0, repr=False)

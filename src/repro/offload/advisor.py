@@ -4,14 +4,14 @@ Key Observations 2 and 4 say a function's name is not enough to decide
 offload — inputs, configurations, algorithms, and operation types flip
 the winner.  This module is the Clara-style tool the paper points at: an
 *analytic* predictor that prices a function profile on every available
-platform (no queueing simulation) and recommends a placement under an
-SLO, with the predicted numbers exposed so the decision is auditable.
+platform (no queueing simulation), and the fleet placement the cluster
+study sizes from those predictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from ..calibration import ACCELERATORS, NODE_PROFILES, PLATFORMS
 from ..experiments.measurement import (
     ACCEL_PLATFORM,
     accel_per_item_seconds,
-    cpu_cores,
     cpu_service_seconds,
     estimate_capacity_rps,
 )
@@ -37,25 +36,6 @@ class PlatformPrediction:
     capacity_rps: float
     base_p99_s: float  # latency floor at low load (queueing excluded)
 
-    def meets(self, required_rps: float, slo_p99: Optional[float]) -> bool:
-        if self.capacity_rps < required_rps:
-            return False
-        if slo_p99 is not None and self.base_p99_s > slo_p99:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class PlacementDecision:
-    profile_key: str
-    platform: str
-    predictions: Dict[str, PlatformPrediction]
-    reason: str
-
-    @property
-    def predicted(self) -> PlatformPrediction:
-        return self.predictions[self.platform]
-
 
 def predict_platform(profile: FunctionProfile, platform: str) -> PlatformPrediction:
     """Analytic capacity + latency floor for one platform."""
@@ -72,44 +52,6 @@ def predict_platform(profile: FunctionProfile, platform: str) -> PlatformPredict
             base += PLATFORMS[platform].stacks[profile.stack].base_rtt_p99_s
     base += profile.latency_extra.get(platform, 0.0)
     return PlatformPrediction(platform=platform, capacity_rps=capacity, base_p99_s=base)
-
-
-def recommend(
-    profile: FunctionProfile,
-    required_rps: float = 0.0,
-    slo_p99: Optional[float] = None,
-    prefer_offload: bool = True,
-) -> PlacementDecision:
-    """Choose an execution platform for the function.
-
-    Policy: among platforms satisfying the rate requirement and the SLO,
-    prefer the SNIC (it frees host cores — the datacenter-tax argument);
-    if nothing satisfies, pick the platform with the highest capacity.
-    """
-    predictions = {
-        platform: predict_platform(profile, platform)
-        for platform in profile.platforms
-    }
-    feasible = [
-        p for p in predictions.values() if p.meets(required_rps, slo_p99)
-    ]
-    if feasible:
-        snic_feasible = [p for p in feasible if p.platform != "host"]
-        if prefer_offload and snic_feasible:
-            best = max(snic_feasible, key=lambda p: p.capacity_rps)
-            reason = "offload frees host cores and meets rate + SLO"
-        else:
-            best = max(feasible, key=lambda p: p.capacity_rps)
-            reason = "highest-capacity feasible platform"
-    else:
-        best = max(predictions.values(), key=lambda p: p.capacity_rps)
-        reason = "nothing meets the requirement; highest capacity chosen"
-    return PlacementDecision(
-        profile_key=profile.key,
-        platform=best.platform,
-        predictions=predictions,
-        reason=reason,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +187,3 @@ def recommend_fleet(
         chosen=chosen,
         reason=reason,
     )
-
-
-def placement_table(profiles: List[FunctionProfile],
-                    slo_p99: Optional[float] = None) -> str:
-    lines = [f"{'function':<26} {'choice':<10} {'capacities (rps)'}"]
-    for profile in profiles:
-        decision = recommend(profile, slo_p99=slo_p99)
-        capacities = ", ".join(
-            f"{name}={pred.capacity_rps:,.0f}"
-            for name, pred in sorted(decision.predictions.items())
-        )
-        lines.append(f"{profile.key:<26} {decision.platform:<10} {capacities}")
-    return "\n".join(lines)

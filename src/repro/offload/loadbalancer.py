@@ -60,11 +60,6 @@ class BalancerOutcome:
     snic_monitor_utilization: float
 
     @property
-    def host_fraction(self) -> float:
-        total = self.sent_to_snic + self.sent_to_host
-        return self.sent_to_host / total if total else 0.0
-
-    @property
     def loss_fraction(self) -> float:
         total = self.sent_to_snic + self.sent_to_host + self.dropped
         return self.dropped / total if total else 0.0
@@ -438,30 +433,4 @@ def simulate_fleet(
         p99_latency_s=float(np.percentile(values, 99)),
         deadline_s=deadline_s,
         within_deadline=within,
-    )
-
-
-def snic_cpu_balancer(snic_service_s: float, host_service_s: float,
-                      **overrides) -> BalancerConfig:
-    """The BlueField-2-CPU implementation the paper found wanting: ~600
-    cycles of per-packet monitoring on the A72s and telemetry staleness."""
-    defaults = dict(
-        monitor_cost_s=600 / 2.0e9,
-        reaction_delay_s=100e-6,
-    )
-    defaults.update(overrides)
-    return BalancerConfig(
-        snic_service_s=snic_service_s, host_service_s=host_service_s, **defaults
-    )
-
-
-def hardware_balancer(snic_service_s: float, host_service_s: float,
-                      **overrides) -> BalancerConfig:
-    """The proposed hardware design: free monitoring, immediate reaction."""
-    return BalancerConfig(
-        snic_service_s=snic_service_s,
-        host_service_s=host_service_s,
-        monitor_cost_s=0.0,
-        reaction_delay_s=0.0,
-        **overrides,
     )

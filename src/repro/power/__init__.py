@@ -1,28 +1,1 @@
-"""Power models, sensors, and energy-efficiency accounting."""
-
-from .energy import EnergyReport, efficiency_ratio, energy_per_request
-from .models import IDLE, ComponentLoad, ServerPowerModel, SnicPowerModel
-from .sensors import (
-    BmcSensor,
-    PowerSensor,
-    PowerTrace,
-    RiserCardSetup,
-    YoctoWattSensor,
-    validate_isolation,
-)
-
-__all__ = [
-    "EnergyReport",
-    "efficiency_ratio",
-    "energy_per_request",
-    "IDLE",
-    "ComponentLoad",
-    "ServerPowerModel",
-    "SnicPowerModel",
-    "BmcSensor",
-    "PowerSensor",
-    "PowerTrace",
-    "RiserCardSetup",
-    "YoctoWattSensor",
-    "validate_isolation",
-]
+"""Power models and energy-efficiency accounting."""

@@ -22,10 +22,6 @@ class EnergyReport:
     idle_power_w: float = 0.0
 
     @property
-    def active_power_w(self) -> float:
-        return self.total_power_w - self.idle_power_w
-
-    @property
     def efficiency(self) -> float:
         """Throughput per watt (throughput / energy per second)."""
         if self.total_power_w <= 0:
@@ -38,10 +34,3 @@ def efficiency_ratio(snic: EnergyReport, host: EnergyReport) -> float:
     if host.efficiency == 0:
         return float("inf")
     return snic.efficiency / host.efficiency
-
-
-def energy_per_request(report: EnergyReport) -> float:
-    """Joules per unit of work — the TCO-relevant quantity."""
-    if report.throughput <= 0:
-        return float("inf")
-    return report.total_power_w / report.throughput

@@ -11,7 +11,7 @@ dominates) is a direct consequence of these magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
 
 from ..calibration import POWER, PowerCalibration
 

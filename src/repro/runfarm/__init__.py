@@ -10,21 +10,3 @@ and poison-pill quarantine.  The CLI installs a
 flag is active, so every registry-declared experiment inherits the whole
 machinery through its existing ``map_cached``/``executor.map`` calls.
 """
-
-from .manifest import ManifestState, RunManifest, UnitRecord
-from .supervisor import (
-    QuarantinedUnitError,
-    RunSupervisor,
-    SupervisedExecutor,
-    SupervisorConfig,
-)
-
-__all__ = [
-    "ManifestState",
-    "QuarantinedUnitError",
-    "RunManifest",
-    "RunSupervisor",
-    "SupervisedExecutor",
-    "SupervisorConfig",
-    "UnitRecord",
-]

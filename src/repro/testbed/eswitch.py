@@ -16,7 +16,7 @@ latency and is capacity-bounded at the line rate.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..core.engine import Simulator
 from ..core.units import gbps_to_bytes_per_second

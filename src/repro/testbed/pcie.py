@@ -39,10 +39,6 @@ class PcieLink:
         delay = (start - self.sim.now) + serialization + self.spec.transaction_latency_s
         return self.sim.timeout(delay)
 
-    def doorbell(self) -> Event:
-        """A zero-payload MMIO write (posted): latency only."""
-        return self.transfer(0)
-
     def utilization(self, elapsed: Optional[float] = None) -> float:
         horizon = elapsed if elapsed is not None else self.sim.now
         if horizon <= 0:

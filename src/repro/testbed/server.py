@@ -14,13 +14,13 @@ at low rates (see tests/testbed/), not to run the sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from ..core.engine import Simulator
 from ..core.metrics import LatencyRecorder, ThroughputMeter
 from ..core.resources import Resource
-from ..hardware.specs import BLUEFIELD2, SERVER
+from ..hardware.specs import BLUEFIELD2
 from ..netstack.link import Link
 from ..netstack.packet import Packet
 from .eswitch import Destination, ESwitch, OperationMode
@@ -137,10 +137,6 @@ class SnicServer:
     def _to_wire(self, packet: Packet) -> None:
         if self.egress_link is not None:
             self.egress_link.send(packet)
-
-
-def consume_all(_packet: Packet) -> str:
-    return CONSUME
 
 
 def reply_all(_packet: Packet) -> str:

@@ -13,7 +13,7 @@ corpus and ranks randomly-generated documents.  We synthesize both:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -11,7 +11,6 @@ seed so every experiment replays the same "measured" trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,16 +35,6 @@ class RateTrace:
 
     def percentile_gbps(self, q: float) -> float:
         return float(np.percentile(self.gbps, q))
-
-    def scaled_to_average(self, target_gbps: float) -> "RateTrace":
-        current = self.average_gbps()
-        if current <= 0:
-            raise ValueError("cannot scale an empty trace")
-        return RateTrace(
-            interval_s=self.interval_s,
-            gbps=self.gbps * (target_gbps / current),
-            label=f"{self.label} (scaled to {target_gbps} Gb/s)",
-        )
 
 
 def hyperscaler_trace(
@@ -79,11 +68,6 @@ def hyperscaler_trace(
     series = np.clip(series, 0.01, None)
     series *= average_gbps / series.mean()
     return RateTrace(interval_s=interval_s, gbps=series, label="hyperscaler")
-
-
-def constant_trace(gbps: float, duration_s: float, interval_s: float = 1.0) -> RateTrace:
-    n = int(round(duration_s / interval_s))
-    return RateTrace(interval_s=interval_s, gbps=np.full(n, gbps), label="constant")
 
 
 def summarize(trace: RateTrace) -> dict:

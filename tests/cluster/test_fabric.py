@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster import LeafSpineFabric, RedConfig, TopologySpec
+from repro.cluster.fabric import LeafSpineFabric, RedConfig
+from repro.cluster.topology import TopologySpec
 from repro.cluster.fabric import FabricPort, flow_spine
 from repro.core.engine import Simulator
 from repro.netstack.packet import PROTO_TCP, Packet, ip
@@ -140,7 +141,7 @@ class TestLeafSpineFabric:
             sim.run()
 
     def test_fabricless_topology_rejected(self):
-        from repro.cluster import single_node_spec
+        from repro.cluster.topology import single_node_spec
 
         with pytest.raises(ValueError):
             LeafSpineFabric(Simulator(), single_node_spec(),

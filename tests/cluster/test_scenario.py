@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cluster import MIX_KINDS, TopologySpec, expand_mix, run_scenario
+from repro.cluster.scenario import run_scenario
+from repro.cluster.topology import TopologySpec
+from repro.cluster.traffic import MIX_KINDS, expand_mix
 from repro.core.rng import RandomStreams
 
 TOPO = TopologySpec(racks=2, nodes_per_rack=2, spines=2)

@@ -79,19 +79,6 @@ class TestMemoryLayer:
         assert store.stats.hits == 1
         assert store.stats.misses == 1
 
-    def test_get_or_compute_computes_once(self):
-        store = ResultCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        key = cache_key("goc")
-        assert store.get_or_compute(key, compute) == 42
-        assert store.get_or_compute(key, compute) == 42
-        assert len(calls) == 1
-
     def test_clear_and_len(self):
         store = ResultCache()
         store.put(cache_key("a"), 1)

@@ -140,44 +140,6 @@ def test_two_processes_interleave():
     ]
 
 
-def test_process_interrupt_stops_generator():
-    sim = Simulator()
-    progressed = []
-
-    def proc():
-        yield sim.timeout(10.0)
-        progressed.append(True)
-
-    process = sim.process(proc())
-    sim.run(until=1.0)
-    process.interrupt()
-    sim.run()
-    assert progressed == []
-    assert process.fired
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    first = sim.any_of([sim.timeout(2.0, "late"), sim.timeout(1.0, "early")])
-    sim.run()
-    assert first.value == "early"
-
-
-def test_all_of_collects_values_in_order():
-    sim = Simulator()
-    combined = sim.all_of([sim.timeout(2.0, "a"), sim.timeout(1.0, "b")])
-    sim.run()
-    assert combined.value == ["a", "b"]
-
-
-def test_all_of_empty_list():
-    sim = Simulator()
-    combined = sim.all_of([])
-    sim.run()
-    assert combined.fired
-    assert combined.value == []
-
-
 def test_peek_reports_next_event_time():
     sim = Simulator()
     sim.timeout(3.0)

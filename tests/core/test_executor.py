@@ -254,8 +254,17 @@ class TestSerialBypass:
         try:
             executor.map(units)  # first batch: no estimate yet, goes wide
             assert executor._seconds_per_unit is not None
-            executor.map(units)  # microsecond units: estimate says serial
-            assert executor.bypasses >= 1
+            # The decision reads only the estimate, so set it from fixed
+            # batch timings instead of this host's fork and run times.
+            bypasses = executor.bypasses
+            executor._seconds_per_unit = None
+            executor._observe(0.001, len(units), workers=2)  # 0.5 ms/unit
+            executor.map(units)
+            assert executor.bypasses == bypasses + 1
+            executor._seconds_per_unit = None
+            executor._observe(1.0, len(units), workers=2)  # 0.5 s/unit
+            executor.map(units)
+            assert executor.bypasses == bypasses + 1
         finally:
             executor.close()
 

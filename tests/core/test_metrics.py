@@ -18,7 +18,6 @@ class TestLatencyRecorder:
         recorder.record(0.5, 100.0)  # warmup
         recorder.record(1.5, 1.0)
         assert recorder.count == 1
-        assert recorder.warmup_count == 1
         assert recorder.p99() == pytest.approx(1.0)
 
     def test_negative_latency_rejected(self):
@@ -51,7 +50,6 @@ class TestThroughputMeter:
         for t in range(1, 11):
             meter.record(float(t), nbytes=1000)
         assert meter.requests == 10
-        assert meter.request_rate(window=10.0) == pytest.approx(1.0)
         assert meter.byte_rate(window=10.0) == pytest.approx(1000.0)
         assert meter.gbps(window=10.0) == pytest.approx(8e3 / 1e9)
 
@@ -65,7 +63,6 @@ class TestThroughputMeter:
 
     def test_zero_window(self):
         meter = ThroughputMeter()
-        assert meter.request_rate(0.0) == 0.0
         assert meter.gbps(0.0) == 0.0
 
 
@@ -90,6 +87,3 @@ class TestRunMetrics:
 
     def test_zero_offered_rate_is_sustained(self):
         assert self._metrics(0.0, 0.0).sustained
-
-    def test_p99_in_microseconds(self):
-        assert self._metrics(1.0, 1.0).latency_p99_us() == pytest.approx(5.0)

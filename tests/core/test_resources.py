@@ -1,9 +1,9 @@
-"""Unit tests for Resource and Store queueing primitives."""
+"""Unit tests for the Resource queueing primitive."""
 
 import pytest
 
 from repro.core.engine import SimulationError, Simulator
-from repro.core.resources import Resource, Store
+from repro.core.resources import Resource
 
 
 def test_resource_capacity_validation():
@@ -91,8 +91,8 @@ def test_queue_length_tracks_waiters():
     sim.process(wait())
     sim.process(wait())
     sim.run(until=1.0)
-    assert core.in_use == 1
-    assert core.queue_length == 2
+    assert core._in_use == 1
+    assert len(core._waiting) == 2
 
 
 def test_utilization_single_busy_server():
@@ -107,109 +107,3 @@ def test_utilization_single_busy_server():
     sim.process(job())
     sim.run(until=8.0)
     assert core.utilization() == pytest.approx(0.5)
-
-
-def test_utilization_reset():
-    sim = Simulator()
-    core = Resource(sim, capacity=1)
-
-    def job():
-        yield core.request()
-        yield sim.timeout(4.0)
-        core.release()
-
-    sim.process(job())
-    sim.run(until=4.0)
-    core.reset_utilization()
-    sim.run(until=8.0)
-    assert core.utilization(elapsed=4.0) == pytest.approx(0.0)
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for item in [1, 2, 3]:
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == [1, 2, 3]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(3.0)
-        yield store.put("x")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("x", 3.0)]
-
-
-def test_bounded_store_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        events.append(("got-" + item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 5.0) in events  # unblocked only after the get
-    assert len(store) == 1  # "b" still buffered
-
-
-def test_bounded_store_preserves_order_through_blocking():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    got = []
-
-    def producer():
-        for item in "abcd":
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(4):
-            item = yield store.get()
-            got.append(item)
-            yield sim.timeout(1.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == list("abcd")
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)

@@ -43,34 +43,5 @@ class TestRandomStreams:
 
 
 class TestUnits:
-    def test_time_helpers(self):
-        assert units.microseconds(5) == pytest.approx(5e-6)
-        assert units.nanoseconds(100) == pytest.approx(1e-7)
-        assert units.milliseconds(2) == pytest.approx(2e-3)
-        assert units.to_microseconds(1e-6) == pytest.approx(1.0)
-
-    def test_gbps_round_trip(self):
-        bps = units.gbps_to_bytes_per_second(100.0)
-        assert units.bytes_per_second_to_gbps(bps) == pytest.approx(100.0)
-
     def test_100gbps_is_12_5_gigabytes(self):
         assert units.gbps_to_bytes_per_second(100.0) == pytest.approx(12.5e9)
-
-    def test_packet_rate_1kb_at_100gbps(self):
-        pps = units.packets_per_second(100.0, 1024)
-        assert pps == pytest.approx(12.5e9 / 1024)
-
-    def test_packet_rate_rejects_zero_size(self):
-        with pytest.raises(ValueError):
-            units.packets_per_second(10.0, 0)
-
-    def test_line_rate_64b_at_100g_is_148_8mpps(self):
-        """The canonical small-packet line-rate figure for 100 GbE."""
-        pps = units.line_rate_pps(100.0, 64)
-        assert pps == pytest.approx(148.8e6, rel=0.01)
-
-    def test_line_rate_clamps_tiny_frames(self):
-        assert units.line_rate_pps(100.0, 1) == units.line_rate_pps(100.0, 64)
-
-    def test_kwh_conversion(self):
-        assert units.joules_to_kwh(3.6e6) == pytest.approx(1.0)

@@ -26,12 +26,12 @@ def _clean():
 
 class TestRecorder:
     def test_enable_installs_recorder_and_flag(self):
-        assert not trace.enabled()
+        assert not trace.TRACING
         rec = trace.enable()
-        assert trace.enabled() and trace.TRACING
+        assert trace.TRACING
         assert trace.recorder() is rec
         trace.disable()
-        assert not trace.enabled() and trace.recorder() is None
+        assert not trace.TRACING and trace.recorder() is None
 
     def test_capacity_bound_evicts_oldest_and_counts_drops(self):
         rec = trace.enable(capacity=4)

@@ -21,6 +21,7 @@ from repro.experiments.strategy1 import (
     rows_by_scenario,
     run_strategy1,
 )
+from tests.experiments.work import mean_work
 
 
 class TestStrategy1:
@@ -85,8 +86,8 @@ class TestInflateExtension:
         assert accel.throughput_rps < host.throughput_rps
 
     def test_inflate_work_lighter_than_deflate(self):
-        inflate = get_profile("decompression:txt", samples=8).mean_work()
-        compress = get_profile("compression:txt", samples=8).mean_work()
+        inflate = mean_work(get_profile("decompression:txt", samples=8))
+        compress = mean_work(get_profile("compression:txt", samples=8))
         assert inflate.get("lz_byte") == 0.0
         assert compress.get("lz_byte") > 0.0
 

@@ -10,6 +10,7 @@ Two guarantees the report pipeline leans on:
   the hybrid engine on or off at tier-1 fidelity.
 """
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -27,6 +28,18 @@ from repro.experiments.measurement import (
     sweep_operating_rate,
 )
 from repro.experiments.profiles import get_profile
+
+
+@contextlib.contextmanager
+def engine_scope(mode):
+    """Switch the process-wide probe engine for the block."""
+    previous = hybrid.configure_engine(None)
+    hybrid.configure_engine(mode)
+    try:
+        yield
+    finally:
+        hybrid.configure_engine(previous)
+
 
 N_REQUESTS = 4000
 SAMPLES = 40
@@ -117,7 +130,7 @@ class TestEngineEquivalence:
         profile = get_profile(key, samples=SAMPLES)
         points = {}
         for engine in ("sim", "hybrid"):
-            with hybrid.engine_scope(engine):
+            with engine_scope(engine):
                 points[engine] = measure_operating_point(
                     profile, "host", RandomStreams(9), N_REQUESTS)
         assert points["hybrid"].capacity_rps == points["sim"].capacity_rps
@@ -131,12 +144,12 @@ class TestEngineEquivalence:
         # Populate the trust region first so the hybrid sweep actually
         # exercises the analytic skip path instead of trivially
         # simulating every probe.
-        with hybrid.engine_scope("hybrid"):
+        with engine_scope("hybrid"):
             measure_operating_point(
                 profile, "host", RandomStreams(7), N_REQUESTS)
             hybrid_result = sweep_operating_rate(
                 profile, "host", RandomStreams(7), N_REQUESTS)
-        with hybrid.engine_scope("sim"):
+        with engine_scope("sim"):
             sim_result = sweep_operating_rate(
                 profile, "host", RandomStreams(7), N_REQUESTS)
         assert hybrid_result.max_rate == sim_result.max_rate

@@ -5,6 +5,7 @@ import pytest
 from repro.core.rng import RandomStreams
 from repro.experiments.measurement import ACCEL_PLATFORM, measure_operating_point
 from repro.experiments.profiles import get_profile
+from tests.experiments.work import mean_work
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,7 @@ def points():
 
 class TestIpsecExtension:
     def test_profile_work_from_real_esp(self):
-        work = get_profile("ipsec:encap", samples=40).mean_work()
+        work = mean_work(get_profile("ipsec:encap", samples=40))
         assert work.get("aes_block") >= 64  # 1 KB payload
         assert work.get("sha1_block") > 0
 

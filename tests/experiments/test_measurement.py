@@ -162,7 +162,8 @@ class TestSweepOperatingRate:
         cold = sweep_operating_rate(
             profile, platform, RandomStreams(1), n_requests=self.N_REQUESTS,
             warm=False)
-        assert warm.sustainable and cold.sustainable
+        assert any(m.sustained for m in warm.probes)
+        assert any(m.sustained for m in cold.probes)
         rel = abs(warm.max_rate - cold.max_rate) / cold.max_rate
         assert rel <= 0.02
         assert len(warm.probes) < len(cold.probes)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.profiles import ALL_PROFILE_KEYS, get_profile
+from tests.experiments.work import mean_work
 
 
 class TestRegistry:
@@ -67,24 +68,24 @@ class TestProfileContent:
         assert a.notes != "" and c.notes != ""
 
     def test_snort_image_is_heaviest(self):
-        image = get_profile("snort:file_image", samples=100).mean_work()
-        exe = get_profile("snort:file_executable", samples=100).mean_work()
+        image = mean_work(get_profile("snort:file_image", samples=100))
+        exe = mean_work(get_profile("snort:file_executable", samples=100))
         assert image.get("dfa_deep_byte") > 20 * exe.get("dfa_deep_byte")
 
     def test_nat_table_size_changes_kind(self):
-        small = get_profile("nat:10k", samples=50).mean_work()
-        large = get_profile("nat:1m", samples=50).mean_work()
+        small = mean_work(get_profile("nat:10k", samples=50))
+        large = mean_work(get_profile("nat:1m", samples=50))
         assert small.get("nat_lookup") > 0 and small.get("nat_lookup_cold") == 0
         assert large.get("nat_lookup_cold") > 0 and large.get("nat_lookup") == 0
 
     def test_bm25_1k_walks_more_postings(self):
-        small = get_profile("bm25:100", samples=60).mean_work()
-        large = get_profile("bm25:1k", samples=60).mean_work()
+        small = mean_work(get_profile("bm25:100", samples=60))
+        large = mean_work(get_profile("bm25:1k", samples=60))
         assert large.get("bm25_posting") > 3 * small.get("bm25_posting")
 
     def test_mica_batch_scales_work(self):
-        b4 = get_profile("mica:4", samples=60).mean_work()
-        b32 = get_profile("mica:32", samples=60).mean_work()
+        b4 = mean_work(get_profile("mica:4", samples=60))
+        b32 = mean_work(get_profile("mica:32", samples=60))
         assert b32.get("hash_probe") > 5 * b4.get("hash_probe")
         # batch-32 working set is priced cache-cold
         assert b32.get("kv_value_byte_cold") > 0
@@ -93,13 +94,13 @@ class TestProfileContent:
     def test_rem_pcap_vs_mtu_density(self):
         pcap = get_profile("rem:file_image", samples=80)
         mtu = get_profile("rem:file_image@mtu", samples=80)
-        pcap_density = pcap.mean_work().get("dfa_deep_byte") / pcap.payload_bytes
-        mtu_density = mtu.mean_work().get("dfa_deep_byte") / mtu.payload_bytes
+        pcap_density = mean_work(pcap).get("dfa_deep_byte") / pcap.payload_bytes
+        mtu_density = mean_work(mtu).get("dfa_deep_byte") / mtu.payload_bytes
         assert pcap_density > 1.4 * mtu_density
 
     def test_compression_work_from_real_deflate(self):
         profile = get_profile("compression:txt", samples=8)
-        work = profile.mean_work()
+        work = mean_work(profile)
         assert work.get("lz_byte") == pytest.approx(4096)
         assert work.get("lz_match_search") > 0
         assert work.get("huffman_symbol") > 0
@@ -118,4 +119,4 @@ class TestProfileContent:
     def test_crypto_rsa_is_op_based(self):
         profile = get_profile("crypto:rsa", samples=10)
         assert profile.accel_op_based
-        assert profile.mean_work().get("rsa_limb_mul") > 1e5
+        assert mean_work(profile).get("rsa_limb_mul") > 1e5

@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.cluster import TopologySpec
+from repro.cluster.topology import TopologySpec
 from repro.core.rng import RandomStreams
-from repro.faults import (
-    KIND_OUTAGE,
-    FaultSpec,
-    FaultTimeline,
+from repro.faults.domains import (
     correlated,
-    materialize,
     node_target,
     outage_windows,
     rack_outage,
     rack_targets,
-    spine_outage,
-    spine_target,
+)
+from repro.faults.schedule import (
+    FaultSpec,
+    FaultTimeline,
+    KIND_OUTAGE,
+    materialize,
 )
 
 TOPO = TopologySpec(racks=2, nodes_per_rack=4, spines=2)
@@ -85,12 +85,6 @@ class TestScopeHelpers:
         names = [s.name for s in specs]
         assert len(set(names)) == len(names)
 
-    def test_spine_outage(self):
-        (spec,) = spine_outage(TOPO, 1, start_s=1.0, duration_s=0.5)
-        assert spec.target == spine_target(1) == "spine:1"
-        with pytest.raises(ValueError):
-            spine_outage(TOPO, 5, duration_s=1.0)
-
     def test_whole_rack_fails_in_lockstep(self):
         specs = rack_outage(TOPO, 0, mtbf_s=200.0, mttr_s=10.0)
         tl = FaultTimeline(specs, horizon_s=20_000.0,
@@ -103,7 +97,7 @@ class TestScopeHelpers:
 class TestOutageWindows:
     def test_windows_keyed_by_target(self):
         specs = rack_outage(TOPO, 0, start_s=1.0, duration_s=2.0)
-        specs += spine_outage(TOPO, 0, start_s=5.0, duration_s=1.0)
+        specs.append(FaultSpec.one_shot("spine0", "spine:0", 5.0, 1.0))
         windows = outage_windows(FaultTimeline(specs, horizon_s=10.0))
         assert windows[node_target(0)] == [(1.0, 3.0)]
         assert windows["spine:0"] == [(5.0, 6.0)]

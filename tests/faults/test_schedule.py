@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.rng import RandomStreams
-from repro.faults import (
+from repro.faults.schedule import (
+    FaultSpec,
+    FaultTimeline,
     KIND_CORE_LOSS,
     KIND_DEGRADE,
     KIND_OUTAGE,
-    FaultSpec,
-    FaultTimeline,
     materialize,
 )
 
@@ -67,7 +67,7 @@ class TestSpecs:
         spec = FaultSpec.stochastic("flaky", "link", mtbf_s=10.0, mttr_s=1.0)
         timeline = FaultTimeline([spec], horizon_s=10_000.0,
                                  streams=RandomStreams(3))
-        down = timeline.downtime_s("link")
+        down = sum(end - start for start, end in timeline.episodes("flaky"))
         # Expected down fraction = MTTR / (MTBF + MTTR) ~ 9 %.
         assert 0.04 < down / 10_000.0 < 0.16
 
@@ -100,13 +100,3 @@ class TestTimeline:
         times = np.array([0.0, 1.2, 1.9, 2.5, 4.0])
         mask = tl.active_mask(times, "accel", KIND_OUTAGE)
         assert mask.tolist() == [False, True, True, False, False]
-
-    def test_downtime_merges_overlaps(self):
-        tl = self._timeline()
-        # outage [1,2) + degrade [1.5,3.5) union = [1, 3.5)
-        assert tl.downtime_s("accel") == pytest.approx(2.5)
-
-    def test_all_episodes_sorted(self):
-        episodes = self._timeline().all_episodes()
-        starts = [e.start_s for e in episodes]
-        assert starts == sorted(starts)

@@ -9,7 +9,7 @@ exactly the same bytes, state and statistics behind:
 * ``huffman.BitWriter`` packs into an int accumulator instead of setting
   one bit at a time (oracle: the old bit-by-bit writer);
 * ``KeyValueStore.load`` bulk-loads a YCSB load phase (oracle: one
-  ``set`` per pair — same entries, LRU order, stats, ``memory_used``);
+  ``set`` per pair — same entries, LRU order, stats, memory used);
 * ``MicaStore.put_many`` hashes every key in one numpy pass (oracle: one
   ``put`` per pair — same logs, buckets and evictions).
 """
@@ -136,7 +136,7 @@ class TestBitWriter:
 def store_state(store):
     return ([(key, entry.value, entry.expires_at)
              for key, entry in store._data.items()],
-            store.stats, store.memory_used)
+            store.stats, store._memory_used)
 
 
 def set_each(store, pairs):

@@ -99,7 +99,8 @@ class TestHuffman:
         codes = huffman.canonical_codes(lengths)
         writer = huffman.BitWriter()
         symbols = [3, 7, 1, 19, 0, 3]
-        huffman.encode_symbols(symbols, codes, writer)
+        for symbol in symbols:
+            writer.write(*codes[symbol])
         reader = huffman.BitReader(writer.getvalue())
         decoder = huffman.Decoder(lengths)
         assert [decoder.decode(reader) for _ in symbols] == symbols

@@ -67,23 +67,23 @@ class TestLruEviction:
     def test_memory_accounting(self):
         store = KeyValueStore()
         store.set(b"key", b"value")
-        used = store.memory_used
+        used = store._memory_used
         assert used == len(b"key") + len(b"value") + 64
         store.delete(b"key")
-        assert store.memory_used == 0
+        assert store._memory_used == 0
 
     def test_overwrite_does_not_leak(self):
         store = KeyValueStore()
         store.set(b"k", b"x" * 100)
         store.set(b"k", b"y" * 10)
-        assert store.memory_used == len(b"k") + 10 + 64
+        assert store._memory_used == len(b"k") + 10 + 64
 
     def test_eviction_at_capacity(self):
         store = KeyValueStore(max_memory_bytes=1000)
         for i in range(20):
             store.set(b"key%02d" % i, b"v" * 50)
         assert store.stats.evictions > 0
-        assert store.memory_used <= 1000
+        assert store._memory_used <= 1000
 
     def test_lru_order_evicts_cold_keys(self):
         store = KeyValueStore(max_memory_bytes=4 * (3 + 10 + 64))
@@ -98,7 +98,7 @@ class TestLruEviction:
         store = KeyValueStore()
         store.set(b"k", b"v" * 100, now=0.0, ttl=1.0)
         store.get(b"k", now=2.0)
-        assert store.memory_used == 0
+        assert store._memory_used == 0
 
     @given(st.lists(st.tuples(st.binary(min_size=1, max_size=6),
                               st.binary(min_size=1, max_size=30)),
@@ -110,4 +110,4 @@ class TestLruEviction:
         for key, value in operations:
             if len(key) + len(value) + 64 <= budget:
                 store.set(key, value)
-        assert store.memory_used <= budget
+        assert store._memory_used <= budget

@@ -6,7 +6,7 @@ import pytest
 from repro.functions.bm25 import Bm25Ranker, build_index, tokenize
 from repro.functions.nat import CACHE_RESIDENT_ENTRIES, NatTable, build_random_table
 from repro.functions.ovs import ESwitchDatapath, FlowTable, WildcardRule
-from repro.functions.snort import IntrusionDetector, PacketMeta, inspect_stream
+from repro.functions.snort import IntrusionDetector, PacketMeta
 from repro.functions.regex.rulesets import load_ruleset
 
 
@@ -23,11 +23,6 @@ class TestNat:
         translated, _ = table.translate_ingress((17, 1, 2, 100, 80))
         assert translated is None
         assert table.dropped == 1
-
-    def test_egress_translation(self):
-        table = NatTable()
-        rewritten, _ = table.translate_egress((17, 200, 8080, 9, 53), 100, 80)
-        assert rewritten == (17, 100, 80, 9, 53)
 
     def test_small_table_uses_warm_lookup(self):
         table = build_random_table(1000, np.random.default_rng(0))
@@ -63,25 +58,16 @@ class TestBm25:
     def test_tokenize(self):
         assert tokenize("Hello, World! 42") == ["hello", "world", "42"]
 
-    def test_relevant_doc_ranks_first(self, index):
-        ranker = Bm25Ranker(index)
-        ranked, _ = ranker.score("quantum qubits")
-        assert ranked[0][0] == 2
-
-    def test_common_terms_have_low_idf(self, index):
-        ranker = Bm25Ranker(index)
-        assert ranker.idf("the") < ranker.idf("quantum")
-
     def test_no_hit_query_returns_empty(self, index):
         ranker = Bm25Ranker(index)
-        ranked, work = ranker.score("zebra xylophone")
-        assert ranked == []
+        work = ranker.work_units("zebra xylophone")
         assert work.get("bm25_query_term") == 2.0
+        assert work.get("bm25_posting") == 0.0
 
     def test_work_scales_with_postings(self, index):
         ranker = Bm25Ranker(index)
-        _, common = ranker.score("the")
-        _, rare = ranker.score("quantum")
+        common = ranker.work_units("the")
+        rare = ranker.work_units("quantum")
         assert common.get("bm25_posting") > rare.get("bm25_posting")
 
     def test_empty_index_rejected(self):
@@ -93,18 +79,6 @@ class TestBm25:
     def test_duplicate_doc_id_rejected(self, index):
         with pytest.raises(ValueError):
             index.add_document(0, "again")
-
-    def test_top_k_limits_results(self):
-        index = build_index([f"common word doc{i}" for i in range(20)])
-        ranker = Bm25Ranker(index)
-        ranked, _ = ranker.score("common", top_k=5)
-        assert len(ranked) == 5
-
-    def test_scores_deterministic(self, index):
-        ranker = Bm25Ranker(index)
-        first, _ = ranker.score("cat mat")
-        second, _ = ranker.score("cat mat")
-        assert first == second
 
 
 class TestSnort:
@@ -128,17 +102,15 @@ class TestSnort:
         assert detector.stats.header_rejected == 1
         assert work.get("dfa_byte") == 0.0
 
+
     def test_stream_accounting(self):
         detector = IntrusionDetector.from_named_ruleset("file_image")
         fragment = load_ruleset("file_image").seed_fragments[0]
-        packets = [
-            PacketMeta("udp", 53, b"clean payload"),
-            PacketMeta("udp", 53, fragment),
-        ]
-        alerts, work = inspect_stream(detector, packets)
-        assert alerts >= 1
+        results = [detector.inspect(PacketMeta("udp", 53, payload))
+                   for payload in (b"clean payload", fragment)]
+        assert sum(len(alerts) for alerts, _ in results) >= 1
         assert detector.stats.packets == 2
-        assert work.get("pkt_touch_byte") > 0
+        assert all(work.get("pkt_touch_byte") > 0 for _, work in results)
 
 
 class TestOvs:
@@ -192,4 +164,5 @@ class TestOvs:
         datapath = ESwitchDatapath(table)
         for _ in range(99):
             datapath.process(self._key())
-        assert datapath.hardware_hit_fraction() > 0.9
+        stats = table.stats
+        assert stats.hardware_forwards / stats.packets > 0.9

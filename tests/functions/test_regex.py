@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.functions.regex import (
-    MultiPatternMatcher,
-    RegexSyntaxError,
-    compile_ruleset,
-    load_ruleset,
-    parse,
-)
+from repro.functions.regex.engine import MultiPatternMatcher
+from repro.functions.regex.parser import RegexSyntaxError, parse
+from repro.functions.regex.rulesets import compile_ruleset, load_ruleset
 from repro.functions.regex.parser import Alternate, Concat, Literal, Repeat
 
 
@@ -111,11 +107,6 @@ class TestMatcher:
         assert (0, 3) in matches
         assert (1, 4) in matches
 
-    def test_contains_match_early_exit(self):
-        matcher = MultiPatternMatcher(["needle"])
-        assert matcher.contains_match(b"hay needle hay")
-        assert not matcher.contains_match(b"just hay")
-
     def test_empty_pattern_list_rejected(self):
         with pytest.raises(ValueError):
             MultiPatternMatcher([])
@@ -179,7 +170,7 @@ class TestRulesets:
             hits = sum(
                 1
                 for fragment in ruleset.seed_fragments
-                if matcher.contains_match(b"  " + fragment + b"  ")
+                if matcher.scan(b"  " + fragment + b"  ")[0]
             )
             # The clear majority of seed fragments must really match.
             assert hits >= len(ruleset.seed_fragments) * 0.7, name

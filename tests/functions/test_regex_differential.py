@@ -8,11 +8,11 @@ divergence is a real engine bug.
 
 import re as stdlib_re
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.functions.regex import MultiPatternMatcher, parse
+from repro.functions.regex.engine import MultiPatternMatcher
+from repro.functions.regex.parser import parse
 from repro.functions.regex.parser import Alternate, Concat, Literal, Repeat
 
 
@@ -129,7 +129,7 @@ class TestAgainstStdlibRe:
         stdlib_found = any(
             m.end() > m.start() for m in compiled.finditer(payload)
         )
-        assert engine.contains_match(payload) == stdlib_found
+        assert bool(engine.scan(payload)[0]) == stdlib_found
 
     @given(PAYLOADS)
     @settings(max_examples=60, deadline=None)

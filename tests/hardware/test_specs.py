@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.hardware import (
+from repro.hardware.specs import (
     BLUEFIELD2,
     CLIENT,
     CONNECTX6_DX,
-    HOST_CPU,
-    PRICES_USD,
-    SERVER,
     IsaFeature,
+    PRICES_USD,
     PcieSpec,
-    operation_mode_paths,
+    SERVER,
 )
 
 
@@ -87,11 +85,6 @@ class TestMisc:
         assert PRICES_USD["server_without_nic"] == 6287.0
         assert PRICES_USD["snic_bluefield2"] == 1817.0
         assert PRICES_USD["nic_connectx6dx"] == 1478.0
-
-    def test_operation_modes(self):
-        paths = operation_mode_paths()
-        assert "snic_cpu" in paths["on-path"]
-        assert "snic_cpu" not in paths["off-path"]
 
     def test_nic_spec(self):
         assert CONNECTX6_DX.port_gbps == 100.0

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import Simulator
-from repro.netstack import DuplexChannel, Link, TcpEndpoint, ip
+from repro.netstack.link import Link
+from repro.netstack.packet import ip
+from repro.netstack.tcp import TcpEndpoint
 from repro.netstack.packet import PROTO_UDP, Packet
+from tests.netstack.channel import DuplexChannel
 
 
 def make_packet(i):

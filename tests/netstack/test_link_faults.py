@@ -39,11 +39,6 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             GilbertElliottLoss(p_good_to_bad=1.5, p_bad_to_good=0.1)
 
-    def test_steady_state_loss(self):
-        model = GilbertElliottLoss(p_good_to_bad=0.01, p_bad_to_good=0.09,
-                                   loss_bad=1.0)
-        assert model.steady_state_loss == pytest.approx(0.1)
-
     def test_losses_cluster_into_bursts(self):
         """The point of the model: loss runs are much longer than i.i.d.
         Bernoulli at the same average loss rate would produce."""
@@ -89,10 +84,10 @@ class TestLinkFlap:
         link = Link(sim)
         link.attach(received.append)
         link.send(make_packet())
-        link.set_down(True)
+        link.down = True
         link.send(make_packet())
         link.send(make_packet())
-        link.set_down(False)
+        link.down = False
         link.send(make_packet())
         sim.run()
         assert len(received) == 2

@@ -1,11 +1,11 @@
-"""Tests for the link model and UDP endpoints."""
+"""Tests for the packet and link models."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import Simulator
-from repro.netstack import DuplexChannel, Link, UdpEndpoint, ip, run_echo_server
-from repro.netstack.packet import PROTO_UDP, Packet, format_ip
+from repro.netstack.link import Link
+from repro.netstack.packet import PROTO_UDP, Packet, ip
 
 
 def make_packet(payload=b"x", dst_port=7):
@@ -18,7 +18,7 @@ def make_packet(payload=b"x", dst_port=7):
 class TestPacketModel:
     def test_ip_helpers_roundtrip(self):
         address = ip(192, 168, 1, 42)
-        assert format_ip(address) == "192.168.1.42"
+        assert address == (192 << 24) | (168 << 16) | (1 << 8) | 42
 
     def test_ip_octet_validation(self):
         with pytest.raises(ValueError):
@@ -84,75 +84,3 @@ class TestLink:
             Link(sim, gbps=0)
         with pytest.raises(ValueError):
             Link(sim, loss_probability=1.5)
-
-
-class TestUdp:
-    def _pair(self, sim, **channel_kwargs):
-        channel = DuplexChannel(sim, **channel_kwargs)
-        client = UdpEndpoint(sim, ip(10, 0, 0, 1), channel.forward)
-        server = UdpEndpoint(sim, ip(10, 0, 0, 2), channel.backward)
-        channel.forward.attach(server.deliver)
-        channel.backward.attach(client.deliver)
-        return client, server
-
-    def test_echo(self):
-        sim = Simulator()
-        client, server = self._pair(sim)
-        server_socket = server.bind(7)
-        client_socket = client.bind(5555)
-        run_echo_server(sim, server_socket, count=2)
-        replies = []
-
-        def client_proc():
-            for label in (b"one", b"two"):
-                client_socket.sendto(label, ip(10, 0, 0, 2), 7)
-                packet = yield client_socket.recv()
-                replies.append(packet.payload)
-
-        sim.process(client_proc())
-        sim.run()
-        assert replies == [b"one", b"two"]
-
-    def test_unbound_port_drops(self):
-        sim = Simulator()
-        client, server = self._pair(sim)
-        client_socket = client.bind(5555)
-        client_socket.sendto(b"x", ip(10, 0, 0, 2), 9999)
-        sim.run()
-        assert server.dropped_no_socket == 1
-
-    def test_double_bind_rejected(self):
-        sim = Simulator()
-        client, _ = self._pair(sim)
-        client.bind(5555)
-        with pytest.raises(OSError):
-            client.bind(5555)
-
-    def test_receive_queue_overflow(self):
-        sim = Simulator()
-        client, server = self._pair(sim)
-        server.receive_queue_packets = 4
-        server_socket = server.bind(7)
-        client_socket = client.bind(5555)
-        for _ in range(10):
-            client_socket.sendto(b"x", ip(10, 0, 0, 2), 7)
-        sim.run()
-        assert server_socket.queued == 4
-        assert server_socket.overflow_drops == 6
-
-    def test_echo_transform(self):
-        sim = Simulator()
-        client, server = self._pair(sim)
-        server_socket = server.bind(7)
-        client_socket = client.bind(5555)
-        run_echo_server(sim, server_socket, transform=bytes.upper, count=1)
-        replies = []
-
-        def client_proc():
-            client_socket.sendto(b"hello", ip(10, 0, 0, 2), 7)
-            packet = yield client_socket.recv()
-            replies.append(packet.payload)
-
-        sim.process(client_proc())
-        sim.run()
-        assert replies == [b"HELLO"]

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import Simulator
-from repro.netstack import DuplexChannel, TcpEndpoint, TcpState, ip
+from repro.netstack.packet import ip
+from repro.netstack.tcp import TcpEndpoint, TcpState
+from tests.netstack.channel import DuplexChannel
 
 
 def make_pair(sim, loss=0.0, seed=0):

@@ -1,11 +1,12 @@
 """Tests for TCP congestion control and adaptive RTO."""
 
 import numpy as np
-import pytest
 
 from repro.core.engine import Simulator
-from repro.netstack import DuplexChannel, TcpEndpoint, ip
+from repro.netstack.packet import ip
+from repro.netstack.tcp import TcpEndpoint
 from repro.netstack.tcp import DEFAULT_SSTHRESH, INITIAL_CWND, MIN_RTO, MSS
+from tests.netstack.channel import DuplexChannel
 
 
 def make_pair(sim, loss=0.0, seed=0, gbps=100.0):

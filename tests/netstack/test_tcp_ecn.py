@@ -7,11 +7,12 @@ segment, ECE echoed on ACKs, a multiplicative window cut at the sender
 (at most once per window), and CWR clearing the echo.
 """
 
-import numpy as np
 
 from repro.core.engine import Simulator
-from repro.netstack import DuplexChannel, TcpEndpoint, ip
-from repro.netstack.tcp import INITIAL_CWND, MSS
+from repro.netstack.packet import ip
+from repro.netstack.tcp import TcpEndpoint
+from repro.netstack.tcp import MSS
+from tests.netstack.channel import DuplexChannel
 
 
 def make_ecn_pair(sim, gbps=100.0, ecn=True):

@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.faults import FaultSpec, FaultTimeline, SnicHealth
-from repro.offload import (
+from repro.faults.models import SnicHealth
+from repro.faults.schedule import FaultSpec, FaultTimeline
+from repro.offload.loadbalancer import (
+    BalancerConfig,
     ROUTE_DROP,
     ROUTE_HOST,
     ROUTE_SNIC,
-    BalancerConfig,
-    hardware_balancer,
     simulate_balancer,
     simulate_failover,
-    snic_cpu_balancer,
 )
 
 SNIC_SERVICE = 1.2e-6
 HOST_SERVICE = 0.7e-6
+# The BlueField-2-CPU balancer: ~600 cycles of per-packet monitoring and
+# 100 us stale telemetry.  The hardware design is BalancerConfig's default.
+SNIC_CPU = dict(monitor_cost_s=600 / 2.0e9, reaction_delay_s=100e-6)
 
 
 def outage_health(start, end, horizon):
@@ -37,8 +39,8 @@ class TestDropAccounting:
     every config shape including nonzero monitor and reaction delay."""
 
     CONFIGS = {
-        "hardware": hardware_balancer(SNIC_SERVICE, HOST_SERVICE),
-        "snic-cpu": snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE),
+        "hardware": BalancerConfig(SNIC_SERVICE, HOST_SERVICE),
+        "snic-cpu": BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU),
         "monitor-only": BalancerConfig(SNIC_SERVICE, HOST_SERVICE,
                                        monitor_cost_s=600 / 2.0e9),
         "stale-only": BalancerConfig(SNIC_SERVICE, HOST_SERVICE,
@@ -62,7 +64,7 @@ class TestDropAccounting:
         n = 20_000
         rate = 6e6
         health = outage_health(1e-3, 2e-3, n / rate)
-        run = simulate_failover(snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE),
+        run = simulate_failover(BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU),
                                 rate, n, np.random.default_rng(7),
                                 snic_health=health)
         o = run.outcome
@@ -76,7 +78,7 @@ class TestFailoverEquivalence:
     def test_no_health_matches_classic_balancer(self):
         """simulate_failover without a health model must be numerically
         identical to simulate_balancer (same draws, same arithmetic)."""
-        config = snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE)
+        config = BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU)
         classic = simulate_balancer(config, 6e6, 15_000,
                                     np.random.default_rng(3))
         failover = simulate_failover(config, 6e6, 15_000,
@@ -96,7 +98,7 @@ class TestFailover:
     def test_outage_triggers_failover_and_failback(self):
         horizon = self.N / self.RATE
         t0, t1 = 0.4 * horizon, 0.6 * horizon
-        run = self._run(snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE),
+        run = self._run(BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU),
                         outage_health(t0, t1, horizon))
         # Steady state lives on the SNIC; the outage pushes it to the host.
         before = run.host_fraction_between(0.0, t0)
@@ -109,7 +111,7 @@ class TestFailover:
     def test_outage_drops_bounded_by_reaction_window(self):
         horizon = self.N / self.RATE
         t0, t1 = 0.4 * horizon, 0.6 * horizon
-        config = snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE)
+        config = BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU)
         run = self._run(config, outage_health(t0, t1, horizon))
         # Drops happen only until the stale observation catches up: about
         # reaction_delay worth of traffic, with headroom for queue effects.
@@ -120,7 +122,7 @@ class TestFailover:
     def test_hardware_balancer_fails_over_with_zero_drops(self):
         horizon = self.N / self.RATE
         t0, t1 = 0.4 * horizon, 0.6 * horizon
-        run = self._run(hardware_balancer(SNIC_SERVICE, HOST_SERVICE),
+        run = self._run(BalancerConfig(SNIC_SERVICE, HOST_SERVICE),
                         outage_health(t0, t1, horizon))
         assert run.outcome.dropped == 0
         # The tail of the window (remaining head delay below the redirect
@@ -130,7 +132,7 @@ class TestFailover:
     def test_recovery_time_reported(self):
         horizon = self.N / self.RATE
         t0, t1 = 0.4 * horizon, 0.6 * horizon
-        run = self._run(snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE),
+        run = self._run(BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU),
                         outage_health(t0, t1, horizon))
         times = run.recovery_times_s()
         assert len(times) == 1
@@ -139,7 +141,7 @@ class TestFailover:
     def test_degraded_clock_spills_partially(self):
         horizon = self.N / self.RATE
         t0, t1 = 0.3 * horizon, 0.7 * horizon
-        run = self._run(hardware_balancer(SNIC_SERVICE, HOST_SERVICE),
+        run = self._run(BalancerConfig(SNIC_SERVICE, HOST_SERVICE),
                         degrade_health(t0, t1, horizon, severity=3.0))
         during = run.host_fraction_between(t0, t1)
         before = run.host_fraction_between(0.0, t0)
@@ -152,7 +154,7 @@ class TestFailover:
     def test_availability_accounts_for_deadline(self):
         horizon = self.N / self.RATE
         health = outage_health(0.4 * horizon, 0.6 * horizon, horizon)
-        config = snic_cpu_balancer(SNIC_SERVICE, HOST_SERVICE)
+        config = BalancerConfig(SNIC_SERVICE, HOST_SERVICE, **SNIC_CPU)
         strict = simulate_failover(config, self.RATE, self.N,
                                    np.random.default_rng(11),
                                    snic_health=health, deadline_s=5e-6)

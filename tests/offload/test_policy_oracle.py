@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultSpec, FaultTimeline, SnicHealth
+from repro.faults.models import SnicHealth
+from repro.faults.schedule import FaultSpec, FaultTimeline
 from repro.offload.loadbalancer import (
     ROUTE_DROP,
     ROUTE_HOST,

@@ -169,4 +169,5 @@ class TestProfilesEndToEnd:
         assert main(["status", run_dir, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"] == state.counts()
+        assert doc["incomplete"] == len(state.incomplete()) == 0
         assert doc["slowest"], "no slowest-units profile in status"

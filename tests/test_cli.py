@@ -224,7 +224,7 @@ class TestTraceVerb:
     def test_untraced_run_leaves_recorder_off(self, capsys):
         assert main(["fig7"]) == 0
         capsys.readouterr()
-        assert not trace.enabled()
+        assert not trace.TRACING
 
 
 class TestFooterOnFailure:
@@ -239,7 +239,7 @@ class TestFooterOnFailure:
         err = capsys.readouterr().err
         assert "probes: 0 simulated" in err  # the footer still printed
         assert (tmp_path / "trace.jsonl").exists()
-        assert not trace.enabled()  # and the recorder was torn down
+        assert not trace.TRACING  # and the recorder was torn down
 
 
 class TestLogging:

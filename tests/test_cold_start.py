@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.export import ARTIFACT_SCHEMA, validate_artifact
 from repro.experiments import registry
+from repro.runfarm.manifest import RunManifest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
@@ -88,6 +89,32 @@ def test_fig7_smoke_loads_only_what_fig7_runs():
         if m in ("repro.experiments.measurement",
                  "repro.experiments.profiles")
         or m.startswith(("repro.cluster", "repro.offload")))
+    assert not unwanted
+
+
+def test_status_reads_the_manifest_without_the_simulator(tmp_path):
+    run_dir = str(tmp_path / "run")
+    manifest = RunManifest(run_dir)
+    manifest.begin_generation(verb="fig4", seed=1, samples=20, requests=600,
+                              tier="smoke", jobs=2, code_version="test")
+    manifest.record_unit("k1", "fig4:udp:64:host", "done", attempt=1,
+                         elapsed_s=0.5, artifact="a1", wall_s=0.5, cpu_s=0.4)
+    manifest.record_unit("k2", "fig4:udp:64:snic-cpu", "running", attempt=1)
+    proc = _fresh(code="import runpy\n"
+                       f"sys.argv = ['repro', 'status', {run_dir!r}, '--json']\n"
+                       "try:\n"
+                       "    runpy.run_module('repro', run_name='__main__')\n"
+                       "except SystemExit as exit:\n"
+                       "    assert not exit.code, exit.code\n")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["counts"] == {"done": 1, "running": 1}
+    assert doc["incomplete"] == 1
+    unwanted = sorted(
+        m for m in _loaded(proc)
+        if m == "numpy" or m.startswith(("numpy.", "repro.faults"))
+        or m in ("repro.core.executor", "repro.core.engine",
+                 "repro.runfarm.supervisor"))
     assert not unwanted
 
 

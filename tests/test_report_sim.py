@@ -39,9 +39,12 @@ def sim_report(tmp_path_factory):
     target = tmp_path_factory.mktemp("sim-report") / "report.md"
     # main() switches the process-wide engine; restore it for the tests
     # that run after this module.
-    with hybrid.engine_scope(hybrid.active_engine()):
+    previous = hybrid.configure_engine(None)
+    try:
         status = main(["--engine", "sim", "--jobs", "1", "report",
                        "-o", str(target)])
+    finally:
+        hybrid.configure_engine(previous)
     counters = obs_metrics.registry().counter_values()
     return status, target.read_bytes(), counters
 

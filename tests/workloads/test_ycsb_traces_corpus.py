@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.workloads import (
-    WORKLOADS,
-    ZipfianGenerator,
-    constant_trace,
+from repro.workloads.corpus import (
     document_corpus,
-    hyperscaler_trace,
-    load_phase,
     make_compression_input,
     query_stream,
-    run_phase,
-    summarize,
 )
-from repro.workloads.ycsb import WorkloadSpec, operation_mix
+from repro.workloads.traces import hyperscaler_trace, summarize
+from repro.workloads.ycsb import (
+    WORKLOADS,
+    WorkloadSpec,
+    ZipfianGenerator,
+    load_phase,
+    run_phase,
+)
 
 
 class TestYcsb:
@@ -40,7 +40,7 @@ class TestYcsb:
         spec = WorkloadSpec("t", 0.95, 0.05, records=1000, operations=4000)
         rng = np.random.default_rng(1)
         operations = list(run_phase(spec, rng))
-        reads, updates = operation_mix(operations)
+        reads = sum(op.kind == "read" for op in operations) / len(operations)
         assert reads == pytest.approx(0.95, abs=0.02)
 
     def test_zipfian_skew(self):
@@ -80,15 +80,6 @@ class TestTraces:
         a = hyperscaler_trace(duration_s=600.0, seed=5)
         b = hyperscaler_trace(duration_s=600.0, seed=6)
         assert not (a.gbps == b.gbps).all()
-
-    def test_scaled_to_average(self):
-        trace = hyperscaler_trace(duration_s=600.0).scaled_to_average(5.0)
-        assert trace.average_gbps() == pytest.approx(5.0)
-
-    def test_constant_trace(self):
-        trace = constant_trace(2.0, 10.0)
-        assert trace.average_gbps() == 2.0
-        assert trace.peak_gbps() == 2.0
 
     def test_summary_keys(self):
         stats = summarize(hyperscaler_trace(duration_s=300.0))
