@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.cluster import fabric
 from repro.core import hybrid
 from repro.obs import metrics as obs_metrics
 
@@ -31,6 +32,9 @@ PINNED_COUNTERS = {
     obs_metrics.EVENTS_FIRED: 102221,
     obs_metrics.CACHE_HITS: 14,
     obs_metrics.CACHE_MISSES: 71,
+    fabric.M_ENQUEUED: 36751,
+    fabric.M_MARKED: 419,
+    fabric.M_DROPPED: 182,
 }
 
 
