@@ -17,6 +17,7 @@ randomness), so a scenario replays identically from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -97,8 +98,8 @@ class FabricPort:
             M_DEPTH, buckets=DEPTH_BUCKETS,
             help="queue depth in bytes observed at each enqueue")
 
-    def send(self, packet: Packet) -> None:
-        self.link.send(packet)
+        # A port sends straight into its link: one call per hop, not two.
+        self.send: Callable[[Packet], None] = self.link.send
 
     def attach(self, receiver: Callable[[Packet], None]) -> None:
         self.link.attach(receiver)
@@ -113,10 +114,11 @@ class FabricPort:
             self.dropped += 1
             self._m_dropped.inc()
             return False
-        if self.red is not None:
-            verdict = self.red.decision(depth_bytes, self.rng)
+        red = self.red
+        if red is not None:
+            verdict = red.decision(depth_bytes, self.rng)
             if verdict == "mark":
-                if self.red.ecn and packet.ecn_capable:
+                if red.ecn and packet.ecn_capable:
                     packet.ce = True
                     self.marked += 1
                     self._m_marked.inc()
@@ -176,22 +178,23 @@ class LeafSpineFabric:
         self.down: Dict[int, FabricPort] = {}
         self.leaf_up: Dict[Tuple[int, int], FabricPort] = {}
         self.spine_down: Dict[Tuple[int, int], FabricPort] = {}
-        self._addr_to_node = {topo.address_of(n): n for n in topo.node_ids()}
+        # destination address -> (its rack, the leaf port down to it)
+        self._route: Dict[int, Tuple[int, FabricPort]] = {}
 
         for node in topo.node_ids():
             rack = topo.rack_of(node)
             self.up[node] = port(f"node{node}->leaf{rack}", topo.access_gbps)
-            self.up[node].attach(
-                lambda pkt, rack=rack: self._at_leaf(rack, pkt))
+            self.up[node].attach(partial(self._at_leaf, rack))
             self.down[node] = port(f"leaf{rack}->node{node}",
                                    topo.access_gbps)
+            self._route[topo.address_of(node)] = (rack, self.down[node])
         for rack in range(topo.racks):
             for spine in range(topo.spines):
                 up = port(f"leaf{rack}->spine{spine}", topo.uplink_gbps)
-                up.attach(lambda pkt, spine=spine: self._at_spine(spine, pkt))
+                up.attach(partial(self._at_spine, spine))
                 self.leaf_up[(rack, spine)] = up
                 down = port(f"spine{spine}->leaf{rack}", topo.uplink_gbps)
-                down.attach(lambda pkt, rack=rack: self._at_leaf(rack, pkt))
+                down.attach(partial(self._at_leaf, rack))
                 self.spine_down[(spine, rack)] = down
 
     # -- node-facing wiring ------------------------------------------------
@@ -206,26 +209,26 @@ class LeafSpineFabric:
 
     # -- hop-by-hop forwarding --------------------------------------------
 
-    def _dst_node(self, packet: Packet) -> int:
-        try:
-            return self._addr_to_node[packet.dst_ip]
-        except KeyError:
-            raise ValueError(
-                f"packet for unknown fabric address {packet.dst_ip:#x}"
-            ) from None
+    def _unroutable(self, packet: Packet) -> ValueError:
+        return ValueError(
+            f"packet for unknown fabric address {packet.dst_ip:#x}")
 
     def _at_leaf(self, rack: int, packet: Packet) -> None:
-        dst = self._dst_node(packet)
-        dst_rack = self.topo.rack_of(dst)
+        route = self._route.get(packet.dst_ip)
+        if route is None:
+            raise self._unroutable(packet)
+        dst_rack, down = route
         if dst_rack == rack:
-            self.down[dst].send(packet)
+            down.send(packet)
         else:
             spine = flow_spine(packet, self.topo.spines)
             self.leaf_up[(rack, spine)].send(packet)
 
     def _at_spine(self, spine: int, packet: Packet) -> None:
-        dst_rack = self.topo.rack_of(self._dst_node(packet))
-        self.spine_down[(spine, dst_rack)].send(packet)
+        route = self._route.get(packet.dst_ip)
+        if route is None:
+            raise self._unroutable(packet)
+        self.spine_down[(spine, route[0])].send(packet)
 
     # -- fault-target protocol (rack/switch scope outages) -----------------
 

@@ -7,14 +7,17 @@ byte-aligned header carrying the two code-length tables) but the pipeline
 literal/length alphabet plus a distance alphabet — is the real algorithm,
 and compress/decompress round-trips exactly.  Work units: ``lz_byte`` and
 ``lz_match_search`` from the match finder plus ``huffman_symbol`` per
-emitted symbol.
+emitted symbol.  :func:`measure` gives the same size and work without
+writing the bits, for callers that price compression but never inflate.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...core.work import WorkUnits
 from . import huffman, lz77
@@ -30,18 +33,22 @@ DIST_BASE = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256,
              16384, 24576, 32768]
 DIST_ALPHABET = len(DIST_BASE)
 
+# Extra bits carried by each length / distance bucket.
+_LENGTH_EXTRA_BITS = [max(0, (upper - base - 1).bit_length())
+                      for base, upper in zip(LENGTH_BASE, LENGTH_BASE[1:] + [259])]
+_DIST_EXTRA_BITS = [max(0, (upper - base - 1).bit_length())
+                    for base, upper in zip(DIST_BASE, DIST_BASE[1:] + [32769])]
+
 MAGIC = b"RPDF"
+HEADER_BYTES = len(MAGIC) + struct.calcsize("<IB") + LITLEN_ALPHABET + DIST_ALPHABET
 
 
 @dataclass
 class CompressionResult:
-    payload: bytes
+    compressed_size: int
     original_size: int
     work: WorkUnits
-
-    @property
-    def compressed_size(self) -> int:
-        return len(self.payload)
+    payload: Optional[bytes] = None  # None when only sized (:func:`measure`)
 
     @property
     def ratio(self) -> float:
@@ -52,79 +59,98 @@ class CompressionResult:
 
 def _length_bucket(length: int) -> Tuple[int, int, int]:
     """(symbol, extra_bits, extra_value) for a match length."""
-    for index in range(len(LENGTH_BASE) - 1, -1, -1):
-        base = LENGTH_BASE[index]
-        if length >= base:
-            next_base = LENGTH_BASE[index + 1] if index + 1 < len(LENGTH_BASE) else 259
-            span = next_base - base
-            extra_bits = max(0, (span - 1).bit_length())
-            return 257 + index, extra_bits, length - base
-    raise ValueError(f"length {length} below minimum match")
+    index = bisect_right(LENGTH_BASE, length) - 1
+    if index < 0:
+        raise ValueError(f"length {length} below minimum match")
+    return 257 + index, _LENGTH_EXTRA_BITS[index], length - LENGTH_BASE[index]
 
 
 def _distance_bucket(distance: int) -> Tuple[int, int, int]:
-    for index in range(len(DIST_BASE) - 1, -1, -1):
-        base = DIST_BASE[index]
-        if distance >= base:
-            next_base = DIST_BASE[index + 1] if index + 1 < len(DIST_BASE) else 32769
-            span = next_base - base
-            extra_bits = max(0, (span - 1).bit_length())
-            return index, extra_bits, distance - base
-    raise ValueError(f"distance {distance} below 1")
+    index = bisect_right(DIST_BASE, distance) - 1
+    if index < 0:
+        raise ValueError(f"distance {distance} below 1")
+    return index, _DIST_EXTRA_BITS[index], distance - DIST_BASE[index]
 
 
-def compress(data: bytes, level: int = 9) -> CompressionResult:
-    """Compress ``data``; returns payload + work-unit accounting."""
+@dataclass
+class _Coded:
+    """One input's LZ77 tokens as Huffman symbols, with both codes built."""
+
+    lz: lz77.Lz77Result
+    litlen_symbols: List[Tuple[int, int, int]]  # (symbol, extra_bits, extra)
+    dist_symbols: List[Tuple[int, int, int]]
+    litlen_lengths: Dict[int, int]
+    dist_lengths: Dict[int, int]
+
+    def work(self) -> WorkUnits:
+        emitted = len(self.litlen_symbols) + len(self.dist_symbols)
+        return self.lz.work_units().add("huffman_symbol", float(emitted))
+
+
+def _code(data: bytes, level: int) -> _Coded:
     lz = lz77.compress(data, level=level)
-    litlen_symbols: List[Tuple[int, int, int]] = []  # (symbol, extra_bits, extra)
+    litlen_symbols: List[Tuple[int, int, int]] = []
     dist_symbols: List[Tuple[int, int, int]] = []
     for token in lz.tokens:
         if isinstance(token, lz77.Literal):
             litlen_symbols.append((token.byte, 0, 0))
         else:
-            symbol, bits, extra = _length_bucket(token.length)
-            litlen_symbols.append((symbol, bits, extra))
+            litlen_symbols.append(_length_bucket(token.length))
             dist_symbols.append(_distance_bucket(token.distance))
     litlen_symbols.append((END_OF_BLOCK, 0, 0))
+    # Counter keeps first-seen order, which code_lengths' tie-breaks read.
+    litlen_freq = Counter(symbol for symbol, _, _ in litlen_symbols)
+    dist_freq = Counter(symbol for symbol, _, _ in dist_symbols)
+    return _Coded(lz, litlen_symbols, dist_symbols,
+                  huffman.code_lengths(litlen_freq),
+                  huffman.code_lengths(dist_freq))
 
-    litlen_freq: dict = {}
-    for symbol, _, _ in litlen_symbols:
-        litlen_freq[symbol] = litlen_freq.get(symbol, 0) + 1
-    dist_freq: dict = {}
-    for symbol, _, _ in dist_symbols:
-        dist_freq[symbol] = dist_freq.get(symbol, 0) + 1
 
-    litlen_lengths = huffman.code_lengths(litlen_freq)
-    dist_lengths = huffman.code_lengths(dist_freq)
-    litlen_codes = huffman.canonical_codes(litlen_lengths)
-    dist_codes = huffman.canonical_codes(dist_lengths)
+def measure(data: bytes, level: int = 9) -> CompressionResult:
+    """:func:`compress`'s size and work, without emitting the bitstream.
 
+    Every symbol is written with its code length plus its extra bits, so
+    the stream is that many bits, zero-padded to a byte.
+    """
+    coded = _code(data, level)
+    litlen, dist = coded.litlen_lengths, coded.dist_lengths
+    bits = sum(litlen[symbol] + extra_bits
+               for symbol, extra_bits, _ in coded.litlen_symbols)
+    bits += sum(dist[symbol] + extra_bits
+                for symbol, extra_bits, _ in coded.dist_symbols)
+    return CompressionResult(compressed_size=HEADER_BYTES + (bits + 7) // 8,
+                             original_size=len(data), work=coded.work())
+
+
+def compress(data: bytes, level: int = 9) -> CompressionResult:
+    """Compress ``data``; returns payload + work-unit accounting."""
+    coded = _code(data, level)
+    litlen_codes = huffman.canonical_codes(coded.litlen_lengths)
+    dist_codes = huffman.canonical_codes(coded.dist_lengths)
     writer = huffman.BitWriter()
-    dist_iter = iter(dist_symbols)
-    emitted = 0
-    for symbol, extra_bits, extra in litlen_symbols:
+    dist_iter = iter(coded.dist_symbols)
+    for symbol, extra_bits, extra in coded.litlen_symbols:
         code, length = litlen_codes[symbol]
         writer.write(code, length)
-        emitted += 1
         if extra_bits:
             writer.write(extra, extra_bits)
         if symbol >= 257:
             dist_symbol, dist_extra_bits, dist_extra = next(dist_iter)
             dcode, dlength = dist_codes[dist_symbol]
             writer.write(dcode, dlength)
-            emitted += 1
             if dist_extra_bits:
                 writer.write(dist_extra, dist_extra_bits)
 
     header = (
         MAGIC
         + struct.pack("<IB", len(data), level)
-        + huffman.serialize_lengths(litlen_lengths, LITLEN_ALPHABET)
-        + huffman.serialize_lengths(dist_lengths, DIST_ALPHABET)
+        + huffman.serialize_lengths(coded.litlen_lengths, LITLEN_ALPHABET)
+        + huffman.serialize_lengths(coded.dist_lengths, DIST_ALPHABET)
     )
     payload = header + writer.getvalue()
-    work = lz.work_units().add("huffman_symbol", float(emitted))
-    return CompressionResult(payload=payload, original_size=len(data), work=work)
+    return CompressionResult(compressed_size=len(payload),
+                             original_size=len(data), work=coded.work(),
+                             payload=payload)
 
 
 def decompress(payload: bytes) -> Tuple[bytes, WorkUnits]:

@@ -4,13 +4,16 @@ Hash-chain match search in the zlib style: a 3-byte rolling hash indexes
 chains of previous positions; higher compression levels probe chains
 deeper.  Emits a token stream of literals and (length, distance) copies
 and counts the work units that dominate compression cost — bytes consumed
-and chain probes performed.
+and chain probes performed.  Every position's hash key is computed in one
+numpy pass up front; the chain walk itself is the per-position loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Optional, Union
+
+import numpy as np
 
 from ...core.work import WorkUnits
 
@@ -35,6 +38,9 @@ class Match:
 
 Token = Union[Literal, Match]
 
+# Literals are immutable values: one shared instance per byte.
+_LITERALS = [Literal(byte) for byte in range(256)]
+
 
 @dataclass
 class Lz77Result:
@@ -51,66 +57,67 @@ class Lz77Result:
         )
 
 
-def _hash3(data: bytes, pos: int) -> int:
-    return (data[pos] << 10) ^ (data[pos + 1] << 5) ^ data[pos + 2]
-
-
 def compress(data: bytes, level: int = 9) -> Lz77Result:
     """Tokenize ``data``; higher ``level`` searches harder for matches."""
     if level not in LEVEL_MAX_CHAIN:
         raise ValueError(f"level must be one of {sorted(LEVEL_MAX_CHAIN)}")
     max_chain = LEVEL_MAX_CHAIN[level]
+    n = len(data)
     tokens: List[Token] = []
     head: dict = {}
-    prev: dict = {}
+    prev: List[Optional[int]] = [None] * n
     probes = 0
     pos = 0
-    n = len(data)
+    last = n - MIN_MATCH  # the last position with a whole 3-byte key
+    if last >= 0:
+        window = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        keys = ((window[:-2] << 10) ^ (window[1:-1] << 5) ^ window[2:]).tolist()
     while pos < n:
         best_length = 0
         best_distance = 0
-        if pos + MIN_MATCH <= n:
-            key = _hash3(data, pos)
-            candidate = head.get(key)
-            chain = 0
-            while candidate is not None and chain < max_chain:
-                distance = pos - candidate
-                if distance > WINDOW_SIZE:
-                    break
-                probes += 1
-                chain += 1
-                length = _match_length(data, candidate, pos, n)
-                if length > best_length:
-                    best_length = length
-                    best_distance = distance
-                    if length >= MAX_MATCH:
+        if pos <= last:
+            key = keys[pos]
+            first = candidate = head.get(key)
+            if candidate is not None:
+                limit = min(MAX_MATCH, n - pos)
+                chain = 0
+                while candidate is not None and chain < max_chain:
+                    distance = pos - candidate
+                    if distance > WINDOW_SIZE:
                         break
-                candidate = prev.get(candidate)
+                    probes += 1
+                    chain += 1
+                    # zlib's check: a candidate that differs at
+                    # ``best_length`` cannot be longer than the best match
+                    # so far, so skip its scan (it still counts as a probe).
+                    if (best_length < limit
+                            and data[candidate + best_length] == data[pos + best_length]):
+                        length = 0
+                        while (length < limit
+                               and data[candidate + length] == data[pos + length]):
+                            length += 1
+                        if length > best_length:
+                            best_length = length
+                            best_distance = distance
+                            if length >= MAX_MATCH:
+                                break
+                    candidate = prev[candidate]
             # insert current position into the chain
-            prev[pos] = head.get(key)
+            prev[pos] = first
             head[key] = pos
         if best_length >= MIN_MATCH:
             tokens.append(Match(best_length, best_distance))
             # insert skipped positions so later matches can reference them
             end = pos + best_length
-            insert_end = min(end, n - MIN_MATCH + 1)
-            for p in range(pos + 1, insert_end):
-                key = _hash3(data, p)
+            for p in range(pos + 1, min(end, last + 1)):
+                key = keys[p]
                 prev[p] = head.get(key)
                 head[key] = p
             pos = end
         else:
-            tokens.append(Literal(data[pos]))
+            tokens.append(_LITERALS[data[pos]])
             pos += 1
     return Lz77Result(tokens=tokens, input_bytes=n, chain_probes=probes)
-
-
-def _match_length(data: bytes, candidate: int, pos: int, n: int) -> int:
-    limit = min(MAX_MATCH, n - pos)
-    length = 0
-    while length < limit and data[candidate + length] == data[pos + length]:
-        length += 1
-    return length
 
 
 def decompress(tokens: List[Token]) -> bytes:

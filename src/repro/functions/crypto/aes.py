@@ -89,23 +89,16 @@ def _add_round_key(state: List[int], round_key: List[int]) -> None:
         state[i] ^= round_key[i]
 
 
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _SBOX[state[i]]
-
-
 def _inv_sub_bytes(state: List[int]) -> None:
     for i in range(16):
         state[i] = _INV_SBOX[state[i]]
 
 
-# State is column-major: state[4*c + r] is row r, column c.
-def _shift_rows(state: List[int]) -> None:
-    for r in range(1, 4):
-        row = [state[4 * c + r] for c in range(4)]
-        row = row[r:] + row[:r]
-        for c in range(4):
-            state[4 * c + r] = row[c]
+# State is column-major: state[4*c + r] is row r, column c.  ShiftRows
+# rotates row r left by r, so new state[4*c + r] is old state
+# [4*((c + r) % 4) + r]; SubBytes is bytewise, so the two commute and run
+# as one S-box lookup through this permutation.
+_SHIFT_ROWS = [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)]
 
 
 def _inv_shift_rows(state: List[int]) -> None:
@@ -138,17 +131,14 @@ def _inv_mix_columns(state: List[int]) -> None:
 def encrypt_block(block: bytes, round_keys: List[List[int]]) -> bytes:
     if len(block) != BLOCK_SIZE:
         raise ValueError("block must be 16 bytes")
-    state = list(block)
-    _add_round_key(state, round_keys[0])
-    for round_index in range(1, 10):
-        _sub_bytes(state)
-        _shift_rows(state)
+    sbox, shift = _SBOX, _SHIFT_ROWS
+    state = [b ^ k for b, k in zip(block, round_keys[0])]
+    for round_key in round_keys[1:10]:
+        state = [sbox[state[i]] for i in shift]  # SubBytes + ShiftRows
         _mix_columns(state)
-        _add_round_key(state, round_keys[round_index])
-    _sub_bytes(state)
-    _shift_rows(state)
-    _add_round_key(state, round_keys[10])
-    return bytes(state)
+        state = [b ^ k for b, k in zip(state, round_key)]
+    state = [sbox[state[i]] for i in shift]
+    return bytes([b ^ k for b, k in zip(state, round_keys[10])])
 
 
 def decrypt_block(block: bytes, round_keys: List[List[int]]) -> bytes:
@@ -170,12 +160,13 @@ def decrypt_block(block: bytes, round_keys: List[List[int]]) -> bytes:
 def encrypt_ctr(data: bytes, key: bytes, nonce: int = 0) -> Tuple[bytes, WorkUnits]:
     """CTR-mode encryption (also decryption); returns ciphertext + work."""
     round_keys = expand_key(key)
-    out = bytearray()
-    blocks = 0
-    for offset in range(0, len(data), BLOCK_SIZE):
-        counter_block = (nonce + blocks).to_bytes(BLOCK_SIZE, "big")
-        keystream = encrypt_block(counter_block, round_keys)
-        chunk = data[offset : offset + BLOCK_SIZE]
-        out.extend(b ^ k for b, k in zip(chunk, keystream))
-        blocks += 1
-    return bytes(out), WorkUnits({"aes_block": float(blocks)})
+    blocks = -(-len(data) // BLOCK_SIZE)
+    keystream = b"".join(
+        encrypt_block((nonce + index).to_bytes(BLOCK_SIZE, "big"), round_keys)
+        for index in range(blocks))
+    # XOR the whole buffer at once; the keystream's tail past the data
+    # (a short last block) is cut off, as a bytewise zip would.
+    size = len(data)
+    mixed = (int.from_bytes(data, "big")
+             ^ int.from_bytes(keystream[:size], "big"))
+    return mixed.to_bytes(size, "big"), WorkUnits({"aes_block": float(blocks)})

@@ -64,7 +64,10 @@ class StoreStats:
     evictions: int = 0
 
 
-@dataclass
+_ENTRY_OVERHEAD = 64  # per-entry object overhead approximation, bytes
+
+
+@dataclass(slots=True)
 class _Entry:
     value: bytes
     expires_at: Optional[float] = None
@@ -88,7 +91,7 @@ class KeyValueStore:
         return len(self._data)
 
     def _entry_size(self, key: bytes, value: bytes) -> int:
-        return len(key) + len(value) + 64  # object overhead approximation
+        return len(key) + len(value) + _ENTRY_OVERHEAD
 
     def _evict_for(self, needed: int) -> None:
         if self.max_memory_bytes is None:
@@ -128,15 +131,13 @@ class KeyValueStore:
                 count += 1
             return count
         data = self._data
-        size = self._entry_size
         memory = self._memory_used
         count = 0
         for key, value in pairs:
-            previous = data.pop(key, None)
-            if previous is not None:
-                memory -= size(key, previous.value)
+            if key in data:
+                memory -= self._entry_size(key, data.pop(key).value)
             data[key] = _Entry(value)
-            memory += size(key, value)
+            memory += len(key) + len(value) + _ENTRY_OVERHEAD  # _entry_size
             count += 1
         self._memory_used = memory
         self.stats.sets += count

@@ -11,8 +11,8 @@ Loss comes in three flavours:
 * bursty correlated loss (:class:`GilbertElliottLoss`) — a two-state
   Markov chain where drops cluster into episodes, as congestion loss does
   in real fabrics;
-* link flaps — while ``Link.down`` is set the link is administratively
-  down and every packet sent meanwhile is lost.
+* queue drops — an enqueue hook (``Link.on_enqueue``, the seam fabric
+  ports install their RED/tail-drop policy in) rejects the packet.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core import trace
-from ..core.engine import Simulator
+from ..core.engine import Simulator, Timeout
 from ..core.units import gbps_to_bytes_per_second
 from .packet import Packet
 
 Receiver = Callable[[Packet], None]
 
-# Mark-on-enqueue seam: called with (packet, queue_depth_bytes) before a
+# Mark-on-enqueue seam: called with (packet, queue depth in bytes) before a
 # packet joins the serialization queue.  Return False to drop the packet
 # (tail drop / RED drop); mutate ``packet.ce`` to ECN-mark it.  Fabric
 # ports install their RED policy here instead of monkeypatching link
@@ -110,19 +110,8 @@ class Link:
         self.on_enqueue: Optional[EnqueueHook] = None
         self.delivered = 0
         self.lost = 0
-        self.flap_lost = 0  # subset of ``lost`` dropped while the link was down
         self.queue_lost = 0  # subset of ``lost`` rejected by the enqueue hook
-        self.down = False
         self._busy_until = 0.0
-
-    def queue_depth_bytes(self) -> float:
-        """Bytes accepted but not yet serialized onto the wire.
-
-        The link serializes FIFO from ``_busy_until``; the backlog in
-        seconds times the line rate is the instantaneous queue depth an
-        AQM policy sees at enqueue time.
-        """
-        return max(0.0, self._busy_until - self.sim.now) * self.bytes_per_second
 
     def attach(self, receiver: Receiver) -> None:
         self.receiver = receiver
@@ -131,49 +120,45 @@ class Link:
         """Queue a packet for transmission (FIFO serialization)."""
         if self.receiver is None:
             raise RuntimeError("link has no receiver attached")
-        if self.down:
-            self.lost += 1
-            self.flap_lost += 1
-            if trace.TRACING:
-                trace.instant("link.drop", trace.NETSTACK, ts=self.sim.now,
-                              track=trace.subtrack("link"), reason="flap")
-            return
-        if self.loss_model is not None and self.rng is not None:
-            if self.loss_model.lost(self.rng):
-                self.lost += 1
-                if trace.TRACING:
-                    trace.instant("link.drop", trace.NETSTACK, ts=self.sim.now,
-                                  track=trace.subtrack("link"), reason="burst")
+        rng = self.rng
+        if self.loss_model is not None and rng is not None:
+            if self.loss_model.lost(rng):
+                self._drop("burst")
                 return
-        if self.loss_probability and self.rng is not None:
-            if self.rng.random() < self.loss_probability:
-                self.lost += 1
-                if trace.TRACING:
-                    trace.instant("link.drop", trace.NETSTACK, ts=self.sim.now,
-                                  track=trace.subtrack("link"), reason="loss")
+        if self.loss_probability and rng is not None:
+            if rng.random() < self.loss_probability:
+                self._drop("loss")
                 return
+        now = self.sim.now
         if self.on_enqueue is not None:
-            if not self.on_enqueue(packet, self.queue_depth_bytes()):
-                self.lost += 1
+            # The link serializes FIFO from ``_busy_until``: the backlog in
+            # seconds times the line rate is the queue depth, in bytes
+            # accepted but not yet on the wire, that the hook sees.
+            depth = max(0.0, self._busy_until - now) * self.bytes_per_second
+            if not self.on_enqueue(packet, depth):
                 self.queue_lost += 1
-                if trace.TRACING:
-                    trace.instant("link.drop", trace.NETSTACK, ts=self.sim.now,
-                                  track=trace.subtrack("link"), reason="queue")
+                self._drop("queue")
                 return
         serialization = packet.wire_bytes / self.bytes_per_second
-        start = max(self.sim.now, self._busy_until)
+        start = max(now, self._busy_until)
         self._busy_until = start + serialization
-        arrival_delay = (start - self.sim.now) + serialization + self.propagation_s
-        if self.jitter_s and self.rng is not None:
-            arrival_delay += float(self.rng.uniform(0.0, self.jitter_s))
+        arrival_delay = (start - now) + serialization + self.propagation_s
+        if self.jitter_s and rng is not None:
+            arrival_delay += float(rng.uniform(0.0, self.jitter_s))
         if trace.TRACING:
             trace.complete("link.tx", trace.NETSTACK, ts=start,
                            dur=serialization, track=trace.subtrack("link"),
                            wire_bytes=packet.wire_bytes)
-        event = self.sim.timeout(arrival_delay, packet)
+        # A fresh timeout is pending, so registering on its list directly
+        # is what add_callback would do.
+        Timeout(self.sim, arrival_delay, packet).callbacks.append(self._deliver)
 
-        def _deliver(fired) -> None:
-            self.delivered += 1
-            self.receiver(fired.value)
+    def _deliver(self, fired) -> None:
+        self.delivered += 1
+        self.receiver(fired.value)
 
-        event.add_callback(_deliver)
+    def _drop(self, reason: str) -> None:
+        self.lost += 1
+        if trace.TRACING:
+            trace.instant("link.drop", trace.NETSTACK, ts=self.sim.now,
+                          track=trace.subtrack("link"), reason=reason)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 FiveTuple = Tuple[int, int, int, int, int]  # proto, src_ip, src_port, dst_ip, dst_port
@@ -14,9 +14,12 @@ ETHERNET_HEADER = 14
 IPV4_HEADER = 20
 UDP_HEADER = 8
 TCP_HEADER = 20
+# Frame header bytes ahead of the payload on the wire.
+TCP_FRAME_HEADER = ETHERNET_HEADER + IPV4_HEADER + TCP_HEADER
+UDP_FRAME_HEADER = ETHERNET_HEADER + IPV4_HEADER + UDP_HEADER
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A network packet: addressing, payload, and simulation bookkeeping."""
 
@@ -37,19 +40,18 @@ class Packet:
     # simulation bookkeeping
     created_at: float = 0.0
     packet_id: int = 0
+    # Frame bytes on the wire, at least a minimum Ethernet frame.  Every
+    # hop reads it, so it is computed once: a packet's protocol and
+    # payload are fixed when it is built.
+    wire_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        header = TCP_FRAME_HEADER if self.proto == PROTO_TCP else UDP_FRAME_HEADER
+        self.wire_bytes = max(header + len(self.payload), 64)
 
     @property
     def five_tuple(self) -> FiveTuple:
         return (self.proto, self.src_ip, self.src_port, self.dst_ip, self.dst_port)
-
-    @property
-    def header_bytes(self) -> int:
-        transport = TCP_HEADER if self.proto == PROTO_TCP else UDP_HEADER
-        return ETHERNET_HEADER + IPV4_HEADER + transport
-
-    @property
-    def wire_bytes(self) -> int:
-        return max(self.header_bytes + len(self.payload), 64)
 
     def reply_template(self, payload: bytes = b"") -> "Packet":
         """A packet heading back to this packet's sender."""

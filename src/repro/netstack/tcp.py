@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, Optional, Tuple
 
-from ..core.engine import Event, Simulator
+from ..core.engine import Event, Simulator, Timeout
 from .link import Link
 from .packet import PROTO_TCP, Packet
 
@@ -33,6 +33,14 @@ FIN = "FIN"
 ECE = "ECE"  # ECN-Echo: receiver saw a CE mark, keeps echoing until CWR
 CWR = "CWR"  # Congestion Window Reduced: sender acknowledges the echo
 
+# The flag sets segments carry, built once rather than per packet.
+_SYN = frozenset({SYN})
+_SYN_ACK = frozenset({SYN, ACK})
+_ACK = frozenset({ACK})
+_ACK_CWR = frozenset({ACK, CWR})
+_FIN_ACK = frozenset({FIN, ACK})
+_ECE = frozenset({ECE})
+
 
 class TcpState(Enum):
     CLOSED = "closed"
@@ -45,7 +53,7 @@ class TcpState(Enum):
     TIME_WAIT = "time-wait"
 
 
-@dataclass
+@dataclass(slots=True)
 class _OutSegment:
     seq: int
     payload: bytes
@@ -149,6 +157,8 @@ class TcpConnection:
         self.snd_una = self.iss + 1
         self.rcv_nxt = 0
         self._unacked: Deque[_OutSegment] = deque()
+        # payload bytes in ``_unacked``, kept as segments enter and leave it
+        self.bytes_in_flight = 0
         self._send_buffer: Deque[bytes] = deque()  # waits for cwnd space
         self._out_of_order: Dict[int, bytes] = {}
         self._recv_buffer = bytearray()
@@ -174,7 +184,7 @@ class TcpConnection:
         self._ecn_recovery_until = self.snd_nxt
         if initiate:
             self.state = TcpState.SYN_SENT
-            self._send_control({SYN})
+            self._send_control(_SYN)
         else:
             self.state = TcpState.LISTEN
 
@@ -195,10 +205,6 @@ class TcpConnection:
             self._send_buffer.append(data[offset : offset + MSS])
         self._pump()
 
-    @property
-    def bytes_in_flight(self) -> int:
-        return sum(len(segment.payload) for segment in self._unacked)
-
     def _pump(self) -> None:
         """Transmit buffered segments while the congestion window allows."""
         sent = False
@@ -208,6 +214,7 @@ class TcpConnection:
             chunk = self._send_buffer.popleft()
             segment = _OutSegment(self.snd_nxt, chunk, self.sim.now)
             self._unacked.append(segment)
+            self.bytes_in_flight += len(chunk)
             self._transmit(segment)
             self.snd_nxt += len(chunk)
             sent = True
@@ -228,15 +235,16 @@ class TcpConnection:
     def close(self) -> None:
         if self.state == TcpState.ESTABLISHED:
             self.state = TcpState.FIN_WAIT
-            self._send_control({FIN, ACK})
+            self._send_control(_FIN_ACK)
         elif self.state == TcpState.CLOSE_WAIT:
             self.state = TcpState.TIME_WAIT
-            self._send_control({FIN, ACK})
+            self._send_control(_FIN_ACK)
             self._finish_close()
 
     # -- internals ----------------------------------------------------------
 
-    def _packet(self, flags, payload: bytes = b"", seq: Optional[int] = None) -> Packet:
+    def _packet(self, flags: FrozenSet[str], payload: bytes = b"",
+                seq: Optional[int] = None) -> Packet:
         return Packet(
             proto=PROTO_TCP,
             src_ip=self.endpoint.address,
@@ -246,22 +254,21 @@ class TcpConnection:
             payload=payload,
             seq=self.snd_nxt if seq is None else seq,
             ack=self.rcv_nxt,
-            flags=frozenset(flags),
+            flags=flags,
         )
 
-    def _send_control(self, flags) -> None:
-        flags = set(flags)
+    def _send_control(self, flags: FrozenSet[str]) -> None:
         if self._ece_pending and ACK in flags and SYN not in flags:
-            flags.add(ECE)
+            flags = flags | _ECE
         seq = self.iss if SYN in flags else None
         self.endpoint.send(self._packet(flags, seq=seq))
         if SYN in flags:
             self._arm_timer()
 
     def _transmit(self, segment: _OutSegment) -> None:
-        flags = {ACK}
+        flags = _ACK
         if self.ecn and self._cwr_pending:
-            flags.add(CWR)
+            flags = _ACK_CWR
             self._cwr_pending = False
         packet = self._packet(flags, segment.payload, seq=segment.seq)
         if self.ecn:
@@ -269,31 +276,31 @@ class TcpConnection:
         self.endpoint.send(packet)
 
     def _arm_timer(self) -> None:
+        # The timer carries its generation as its value: re-arming bumps
+        # the generation, so a superseded timer fires as a no-op.
         self._timer_generation += 1
-        generation = self._timer_generation
-        timer = self.sim.timeout(self.rto)
+        Timeout(self.sim, self.rto, self._timer_generation).callbacks.append(
+            self._on_timeout)
 
-        def _on_timeout(_event) -> None:
-            if generation != self._timer_generation:
-                return  # superseded
-            if self.state == TcpState.SYN_SENT:
-                self._send_control({SYN})
-                self.retransmissions += 1
-            elif self.state == TcpState.SYN_RECEIVED:
-                self._send_control({SYN, ACK})
-                self.retransmissions += 1
-            elif self._unacked:
-                self.retransmissions += 1
-                # Tahoe reaction: halve ssthresh, restart from one segment
-                self.ssthresh = max(2 * MSS, self.bytes_in_flight // 2)
-                self.cwnd = INITIAL_CWND * MSS
-                self.rto = min(self.rto * 2, 1.0)  # exponential backoff
-                for segment in self._unacked:
-                    segment.retransmits += 1
-                    self._transmit(segment)
-                self._arm_timer()
-
-        timer.add_callback(_on_timeout)
+    def _on_timeout(self, timer: Event) -> None:
+        if timer.value != self._timer_generation:
+            return  # superseded
+        if self.state == TcpState.SYN_SENT:
+            self._send_control(_SYN)
+            self.retransmissions += 1
+        elif self.state == TcpState.SYN_RECEIVED:
+            self._send_control(_SYN_ACK)
+            self.retransmissions += 1
+        elif self._unacked:
+            self.retransmissions += 1
+            # Tahoe reaction: halve ssthresh, restart from one segment
+            self.ssthresh = max(2 * MSS, self.bytes_in_flight // 2)
+            self.cwnd = INITIAL_CWND * MSS
+            self.rto = min(self.rto * 2, 1.0)  # exponential backoff
+            for segment in self._unacked:
+                segment.retransmits += 1
+                self._transmit(segment)
+            self._arm_timer()
 
     def _on_packet(self, packet: Packet) -> None:
         flags = packet.flags
@@ -304,27 +311,29 @@ class TcpConnection:
         if packet.ce:
             self._ece_pending = True
             self.ecn_marks_seen += 1
-        if self.state == TcpState.LISTEN and SYN in flags and ACK not in flags:
-            self.rcv_nxt = packet.seq + 1
-            self.state = TcpState.SYN_RECEIVED
-            self._send_control({SYN, ACK})
-            return
-        if self.state == TcpState.SYN_RECEIVED and SYN in flags and ACK not in flags:
-            # Our SYN-ACK was lost; the peer retried its SYN.
-            self._send_control({SYN, ACK})
-            return
-        if self.state == TcpState.ESTABLISHED and SYN in flags and ACK in flags:
-            # Duplicate SYN-ACK: our handshake ACK was lost; re-ACK.
-            self._send_control({ACK})
-            return
-        if self.state == TcpState.SYN_SENT and SYN in flags and ACK in flags:
-            self.rcv_nxt = packet.seq + 1
-            self.state = TcpState.ESTABLISHED
-            self._send_control({ACK})
-            if not self._established_event.triggered:
-                self._established_event.trigger(self)
-            return
-        if self.state == TcpState.SYN_RECEIVED and ACK in flags and SYN not in flags:
+        state = self.state
+        if SYN in flags:
+            if state == TcpState.LISTEN and ACK not in flags:
+                self.rcv_nxt = packet.seq + 1
+                self.state = TcpState.SYN_RECEIVED
+                self._send_control(_SYN_ACK)
+                return
+            if state == TcpState.SYN_RECEIVED and ACK not in flags:
+                # Our SYN-ACK was lost; the peer retried its SYN.
+                self._send_control(_SYN_ACK)
+                return
+            if state == TcpState.ESTABLISHED and ACK in flags:
+                # Duplicate SYN-ACK: our handshake ACK was lost; re-ACK.
+                self._send_control(_ACK)
+                return
+            if state == TcpState.SYN_SENT and ACK in flags:
+                self.rcv_nxt = packet.seq + 1
+                self.state = TcpState.ESTABLISHED
+                self._send_control(_ACK)
+                if not self._established_event.triggered:
+                    self._established_event.trigger(self)
+                return
+        elif state == TcpState.SYN_RECEIVED and ACK in flags:
             self.state = TcpState.ESTABLISHED
             if not self._established_event.triggered:
                 self._established_event.trigger(self)
@@ -363,6 +372,7 @@ class TcpConnection:
         while self._unacked and self._unacked[0].seq + len(self._unacked[0].payload) <= ack:
             segment = self._unacked.popleft()
             acked_bytes += len(segment.payload)
+            self.bytes_in_flight -= len(segment.payload)
             if segment.retransmits == 0:  # Karn's rule: fresh samples only
                 self._sample_rtt(self.sim.now - segment.sent_at)
         if acked_bytes:
@@ -400,7 +410,7 @@ class TcpConnection:
         elif packet.seq > self.rcv_nxt:
             self._out_of_order[packet.seq] = packet.payload
         # duplicate (seq < rcv_nxt): ignore payload, re-ACK below
-        self._send_control({ACK})
+        self._send_control(_ACK)
 
     def _wake_receivers(self) -> None:
         while self._recv_waiters:
@@ -416,10 +426,10 @@ class TcpConnection:
         self.rcv_nxt = max(self.rcv_nxt, packet.seq + 1)
         if self.state == TcpState.ESTABLISHED:
             self.state = TcpState.CLOSE_WAIT
-            self._send_control({ACK})
+            self._send_control(_ACK)
         elif self.state == TcpState.FIN_WAIT:
             self.state = TcpState.TIME_WAIT
-            self._send_control({ACK})
+            self._send_control(_ACK)
             self._finish_close()
 
     def _finish_close(self) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..core.engine import Simulator
+from ..core.engine import Process, Simulator, Timeout
 from ..core.metrics import LatencyRecorder, ThroughputMeter
 from ..core.resources import Resource
 from ..hardware.specs import BLUEFIELD2
@@ -55,14 +55,15 @@ class ProcessorComplex:
         self.stats = ComplexStats()
         self.on_forward: Optional[Callable[[Packet], None]] = None
         self.on_reply: Optional[Callable[[Packet], None]] = None
+        self._job_name = f"{name}-pkt"
 
     def submit(self, packet: Packet) -> None:
-        self.sim.process(self._serve(packet), name=f"{self.name}-pkt")
+        Process(self.sim, self._serve(packet), self._job_name)
 
     def _serve(self, packet: Packet):
         request = self.cores.request()
         yield request
-        yield self.sim.timeout(self.per_packet_service_s)
+        yield Timeout(self.sim, self.per_packet_service_s)
         verdict = self.handler(packet)
         self.cores.release()
         self.stats.handled += 1

@@ -1,4 +1,4 @@
-"""Tests for link fault models: closed-interval loss, bursty loss, flaps."""
+"""Tests for link fault models: closed-interval loss and bursty loss."""
 
 import numpy as np
 import pytest
@@ -76,20 +76,3 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             Link(sim, loss_model=model)
 
-
-class TestLinkFlap:
-    def test_set_down_drops_and_counts(self):
-        sim = Simulator()
-        received = []
-        link = Link(sim)
-        link.attach(received.append)
-        link.send(make_packet())
-        link.down = True
-        link.send(make_packet())
-        link.send(make_packet())
-        link.down = False
-        link.send(make_packet())
-        sim.run()
-        assert len(received) == 2
-        assert link.flap_lost == 2
-        assert link.lost == 2

@@ -132,3 +132,38 @@ class TestAdaptiveRto:
         assert received
         if connection._srtt is not None:
             assert connection._srtt < 5e-3
+
+
+class TestBytesInFlight:
+    def test_running_count_tracks_unacked_through_timeout_and_cumulative_ack(self):
+        """``bytes_in_flight`` is kept as segments enter and leave the
+        unacked queue, not summed; it must equal that sum after every
+        event, through a timeout retransmission and the cumulative ACK
+        that follows it."""
+        sim = Simulator()
+        a, b = make_pair(sim)
+        data_packets = []
+
+        def drop_third_data_segment(packet, depth_bytes):
+            if packet.payload:
+                data_packets.append(packet.seq)
+                return len(data_packets) != 3  # lose its first copy only
+            return True
+
+        a.egress.on_enqueue = drop_third_data_segment
+        connection, data, received = start_transfer(sim, a, b, 8 * MSS)
+        before = 0
+        widest_ack = 0  # most segments one event removed from the queue
+        while sim.step():
+            unacked = connection._unacked
+            assert connection.bytes_in_flight == sum(
+                len(segment.payload) for segment in unacked)
+            widest_ack = max(widest_ack, before - len(unacked))
+            before = len(unacked)
+        assert received and received[0] == data
+        assert connection.retransmissions >= 1
+        assert data_packets.count(data_packets[2]) >= 2  # resent after the RTO
+        assert connection.bytes_in_flight == 0
+        # Once the hole is filled, one ACK covers every segment the
+        # receiver had buffered behind it.
+        assert widest_ack >= 5

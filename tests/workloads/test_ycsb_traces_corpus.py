@@ -13,7 +13,7 @@ from repro.workloads.ycsb import (
     WORKLOADS,
     WorkloadSpec,
     ZipfianGenerator,
-    load_phase,
+    load_records,
     run_phase,
 )
 
@@ -31,10 +31,10 @@ class TestYcsb:
     def test_load_phase_covers_all_records(self):
         spec = WorkloadSpec("t", 1.0, 0.0, records=100, operations=10)
         rng = np.random.default_rng(0)
-        operations = list(load_phase(spec, rng))
-        assert len(operations) == 100
-        assert len({op.key for op in operations}) == 100
-        assert all(len(op.value) == spec.value_bytes for op in operations)
+        records = list(load_records(spec, rng))
+        assert len(records) == 100
+        assert len({key for key, _ in records}) == 100
+        assert all(len(value) == spec.value_bytes for _, value in records)
 
     def test_run_phase_mix(self):
         spec = WorkloadSpec("t", 0.95, 0.05, records=1000, operations=4000)
