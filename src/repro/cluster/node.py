@@ -73,12 +73,14 @@ class Node:
 
     def _ingest_handler(self, packet: Packet) -> str:
         if self.pcie is not None:
-            event = self.pcie.transfer(packet.wire_bytes)
-            event.add_callback(
-                lambda _e, packet=packet: self.endpoint.deliver(packet))
+            self.pcie.transfer(packet.wire_bytes, packet).add_callback(
+                self._deliver_over_pcie)
         else:
             self.endpoint.deliver(packet)
         return CONSUME
+
+    def _deliver_over_pcie(self, event) -> None:
+        self.endpoint.deliver(event.value)
 
     # -- accounting --------------------------------------------------------
 

@@ -9,7 +9,7 @@ host-initiated accelerator offload.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from ..core.engine import Event, Simulator
 from ..hardware.specs import PcieSpec
@@ -27,8 +27,9 @@ class PcieLink:
         self.transactions = 0
         self.bytes_moved = 0
 
-    def transfer(self, nbytes: int) -> Event:
-        """Move ``nbytes`` across the link; the event fires on delivery."""
+    def transfer(self, nbytes: int, value: Any = None) -> Event:
+        """Move ``nbytes`` across the link; the event fires on delivery,
+        carrying ``value`` (what was moved, for the receiving callback)."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
         self.transactions += 1
@@ -37,7 +38,7 @@ class PcieLink:
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + serialization
         delay = (start - self.sim.now) + serialization + self.spec.transaction_latency_s
-        return self.sim.timeout(delay)
+        return self.sim.timeout(delay, value)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         horizon = elapsed if elapsed is not None else self.sim.now
