@@ -51,8 +51,9 @@ def main() -> None:
     for rate in rates:
         cells = []
         for name, config in configs.items():
+            n_packets = 50_000
             outcome = simulate_balancer(
-                config, rate, 50_000, np.random.default_rng(int(rate))
+                config, rate, n_packets, np.random.default_rng(int(rate))
             )
             host_fraction = outcome.sent_to_host / (
                 outcome.sent_to_snic + outcome.sent_to_host)
@@ -61,7 +62,7 @@ def main() -> None:
                 violations[name] = rate
             cells.append(
                 f"{outcome.p99_latency_s*1e6:>8.1f} {host_fraction:>6.1%} "
-                f"{outcome.loss_fraction:>6.2%} {outcome.snic_monitor_utilization:>8.1%} {flag}  "
+                f"{outcome.dropped / n_packets:>6.2%} {outcome.snic_monitor_utilization:>8.1%} {flag}  "
             )
         print(f"{rate/1e6:>14.0f} | " + " | ".join(cells))
 

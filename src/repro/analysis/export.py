@@ -90,9 +90,9 @@ def write_fig6_csv(stream: IO[str], rows: Sequence) -> int:
 # JSON artifacts
 # ---------------------------------------------------------------------------
 
-# Shape of the envelope every `--json` artifact is wrapped in; the CI
-# smoke matrix validates this for every registered verb, then validates
-# the "result" payload against the experiment spec's own schema.
+# Shape of the envelope every `--json` artifact is wrapped in;
+# tests/test_cold_start.py validates this for every registered verb, then
+# validates the "result" payload against the experiment spec's own schema.
 ARTIFACT_SCHEMA: Dict[str, Any] = {
     "type": "object",
     "required": ["experiment", "title", "tier", "seed", "fidelity",

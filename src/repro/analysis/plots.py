@@ -16,11 +16,9 @@ def bar_chart(
     title: str = "",
     width: int = 48,
     reference: float = 1.0,
-    log_scale: bool = True,
 ) -> str:
-    """Horizontal bars with a reference line (the 'host = 1.0' axis).
-
-    Log scale matches the paper's figures, which span 0.1x-3.5x.
+    """Horizontal log-scale bars with a reference line (the 'host = 1.0'
+    axis).  Log scale matches the paper's figures, which span 0.1x-3.5x.
     """
     if not items:
         return title
@@ -28,20 +26,14 @@ def bar_chart(
     finite = [v for v in values if v > 0 and math.isfinite(v)]
     if not finite:
         return title
-    if log_scale:
-        low = min(min(finite), reference / 1.05)
-        high = max(max(finite), reference * 1.05)
-        span = math.log(high) - math.log(low)
+    low = min(min(finite), reference / 1.05)
+    high = max(max(finite), reference * 1.05)
+    span = math.log(high) - math.log(low)
 
-        def position(value: float) -> int:
-            if value <= 0:
-                return 0
-            return int(round((math.log(value) - math.log(low)) / span * (width - 1)))
-    else:
-        high = max(max(finite), reference)
-
-        def position(value: float) -> int:
-            return int(round(value / high * (width - 1)))
+    def position(value: float) -> int:
+        if value <= 0:
+            return 0
+        return int(round((math.log(value) - math.log(low)) / span * (width - 1)))
 
     reference_column = position(reference)
     label_width = max(len(label) for label, _ in items)

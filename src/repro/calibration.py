@@ -263,7 +263,7 @@ ACCELERATORS: Dict[str, AcceleratorCalibration] = {
     ),
     # Deflate engine, also capped near 50 Gbps.
     "compression": AcceleratorCalibration(
-        bytes_per_s={"deflate": 7.8e9, "inflate": 8.6e9},
+        bytes_per_s={"deflate": 7.8e9},
         setup_latency_s=6e-6,
         max_batch=32,
         staging_cores=2,
@@ -272,9 +272,7 @@ ACCELERATORS: Dict[str, AcceleratorCalibration] = {
     # AES (+38.5 %) and RSA (+91.2 %) while the engine wins SHA-1 (host is
     # 47.2 % lower) — Key Observation 2.
     "crypto": AcceleratorCalibration(
-        bytes_per_s={"aes": 5.05e9, "sha1": 4.12e9,
-                     # ESP = AES pass + SHA-1 tag over the same bytes
-                     "esp": 1.0 / (1 / 5.05e9 + 1 / 4.12e9)},
+        bytes_per_s={"aes": 5.05e9, "sha1": 4.12e9},
         ops_per_s={"rsa2048": 4_400.0},
         setup_latency_s=6e-6,
         max_batch=32,
@@ -313,10 +311,6 @@ class NodeProfile:
     # Wall power: floor when idle, additional span at full utilization.
     idle_w: float = 0.0
     active_span_w: float = 0.0
-
-    @property
-    def platform(self) -> PlatformCalibration:
-        return PLATFORMS[self.serve_platform]
 
     def transport_packet_seconds(self, wire_bytes: int) -> float:
         """One-core per-packet ingest cost of the cluster transport."""

@@ -306,9 +306,11 @@ def _main(argv: Optional[List[str]]) -> int:
         return fleet_status.run_cli(args)
     name = _experiment_name(args)
     if args.csv and (name is None or not registry.get(name).supports_csv):
+        capable = [verb for verb in registry.names()
+                   if registry.get(verb).supports_csv]
         parser.error(
             f"--csv is not supported by '{args.command}' "
-            f"(supported: {', '.join(registry.csv_capable())})"
+            f"(supported: {', '.join(capable)})"
         )
     if name is None and args.json:
         parser.error(f"--json is not supported by '{args.command}'")
@@ -395,18 +397,17 @@ def _runfarm_active(args) -> bool:
                 or args.max_unit_attempts is not None)
 
 
-def _invocation_topology(command: str, tier: str) -> str:
+def _invocation_topology(command: str) -> str:
     """The topology id this invocation will realize.
 
-    Only the ``cluster`` verb fans out over a fabric; every other verb
-    runs the seed repo's single-node world.
+    Only the ``cluster`` verb fans out over a fabric, the same default
+    leaf-spine shape at every tier; every other verb runs the seed
+    repo's single-node world.
     """
+    from .cluster.topology import TopologySpec, single_node_spec
+
     if command == "cluster":
-        from .experiments.cluster import tier_topology_id
-
-        return tier_topology_id(tier)
-    from .cluster.topology import single_node_spec
-
+        return TopologySpec().topology_id()
     return single_node_spec().topology_id()
 
 
@@ -458,8 +459,7 @@ def _setup_runfarm(args, parser) -> ParallelExecutor:
         if header.get("engine"):
             args.engine = header["engine"]
         if header.get("topology"):
-            expected = _invocation_topology(
-                args.command, SMOKE_TIER if args.smoke else DEFAULT_TIER)
+            expected = _invocation_topology(args.command)
             if header["topology"] != expected:
                 parser.error(
                     f"--resume: manifest {manifest_path} was recorded "
@@ -500,7 +500,7 @@ def _setup_runfarm(args, parser) -> ParallelExecutor:
         requests=args.requests,
         tier=tier,
         engine=args.engine,
-        topology=_invocation_topology(args.command, tier),
+        topology=_invocation_topology(args.command),
         jobs=args.jobs, code_version=CODE_VERSION,
         argv=list(sys.argv[1:]),
     )

@@ -6,7 +6,5 @@ shape, :mod:`fabric` realizes switch ports with bounded queues and
 RED/ECN marking on the event kernel, :mod:`node` wraps the single-node
 testbed complexes behind one ``receive()``, :mod:`traffic` expands
 incast/uniform/skewed mixes, and :mod:`scenario` runs a mix over a
-topology into a picklable result.  A one-node, fabric-less topology is
-the seed world — experiments reduce to byte-identical single-node
-artifacts through that path.
+topology into a picklable result.
 """

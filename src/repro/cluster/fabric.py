@@ -160,8 +160,7 @@ class LeafSpineFabric:
     def __init__(self, sim: Simulator, topo: TopologySpec,
                  rng: np.random.Generator):
         if not topo.fabric:
-            raise ValueError("TopologySpec has no fabric; use the "
-                             "single-node reduction path instead")
+            raise ValueError("TopologySpec has no fabric to realize")
         self.sim = sim
         self.topo = topo
         red = None

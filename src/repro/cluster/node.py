@@ -15,8 +15,8 @@ ingress crosses PCIe all come from the node's calibrated
   taken from the application (the unpaid datacenter tax);
 * ``all-snic``  — the Arm complex is the whole node.
 
-The wrap is deliberately thin: a one-node cluster with no fabric is the
-seed testbed, byte for byte (DESIGN.md §15's reduction contract).
+The wrap is deliberately thin: the per-packet work is the seed
+testbed's own.
 """
 
 from __future__ import annotations

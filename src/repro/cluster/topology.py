@@ -8,9 +8,8 @@ structural questions: who is where, what is everyone's address, and what
 canonical id names this topology in run manifests.
 
 The degenerate spec — one rack, one node, no fabric — is the seed
-repo's world: a single server+SNIC pair.  ``is_single_node`` gates the
-N=1 reduction path, which must reproduce single-node artifacts byte for
-byte (see DESIGN.md §15).
+repo's world: a single server+SNIC pair.  Run manifests of the
+single-node verbs record its id.
 """
 
 from __future__ import annotations

@@ -75,10 +75,6 @@ class CacheStats:
     disk_hits: int = 0
     corrupt: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "disk_hits": self.disk_hits, "corrupt": self.corrupt}
-
 
 @dataclass
 class ResultCache:
@@ -206,10 +202,6 @@ class ResultCache:
     def digest(self, key: str) -> Optional[str]:
         """sha256 of the entry's serialized bytes (None if unknown)."""
         return self._digests.get(key)
-
-    def clear(self) -> None:
-        self._memory.clear()
-        self._digests.clear()
 
     def __len__(self) -> int:
         return len(self._memory)

@@ -53,10 +53,6 @@ class Event:
     def triggered(self) -> bool:
         return self._state != PENDING
 
-    @property
-    def fired(self) -> bool:
-        return self._state == FIRED
-
     def trigger(self, value: Any = None) -> "Event":
         """Schedule this event to fire now (at the current sim time)."""
         if self._state != PENDING:
@@ -76,25 +72,12 @@ class Event:
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._state == FIRED:
-            # Fire immediately but asynchronously, preserving ordering.
-            self.sim._schedule_event(0.0, _DeferredCallback(self, callback))
+            # Fire immediately but asynchronously, preserving ordering;
+            # the late callback still sees this event (same ``value``).
+            Timeout(self.sim, 0.0).callbacks.append(
+                lambda _timeout: callback(self))
         else:
             self.callbacks.append(callback)
-
-
-class _DeferredCallback:
-    """A queue entry that re-delivers an already-fired event to one late
-    callback — cheaper than allocating a full holder Event, and the
-    callback sees the original event (same ``value``)."""
-
-    __slots__ = ("event", "callback")
-
-    def __init__(self, event: Event, callback: Callable[[Event], None]):
-        self.event = event
-        self.callback = callback
-
-    def _fire(self) -> None:
-        self.callback(self.event)
 
 
 class Timeout(Event):
@@ -177,19 +160,11 @@ class Simulator:
         self._folded_scheduled = 0
         self._folded_fired = 0
 
-    @property
-    def events_scheduled(self) -> int:
-        """Total events ever pushed onto the queue."""
-        return self._sequence
-
     def _schedule_event(self, delay: float, event: Any) -> None:
         self._sequence += 1
         heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
 
     # -- public API ---------------------------------------------------------
-
-    def event(self) -> Event:
-        return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -198,26 +173,13 @@ class Simulator:
         """Register a generator as a concurrently running process."""
         return Process(self, generator, name)
 
-    def step(self) -> bool:
-        """Fire the next event; return False when the queue is empty."""
-        if not self._queue:
-            return False
-        time, _, event = heapq.heappop(self._queue)
-        if time < self.now:
-            raise SimulationError("time went backwards")
-        self.now = time
-        event._fire()
-        self.events_fired += 1
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past")
-        # Inlined step loop: one heappop and one _fire per event, without
-        # the peek/step call overhead — this is the kernel's hot loop.
-        # Instrumentation stays out of it: one local integer add per
-        # event, folded into the process counters once on exit.
+        # One heappop and one _fire per event: this is the kernel's hot
+        # loop.  Instrumentation stays out of it: one local integer add
+        # per event, folded into the process counters once on exit.
         queue = self._queue
         pop = heapq.heappop
         # Entries are unique (time, seq) keys, so an entry popped past the
@@ -258,7 +220,3 @@ class Simulator:
             trace.instant("sim.run", trace.SIM, ts=self.now,
                           events_fired=self.events_fired,
                           events_scheduled=self._sequence)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0][0] if self._queue else float("inf")

@@ -61,18 +61,11 @@ class LatencyRecorder:
             return
         self._samples.append(latency)
 
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
     def percentile(self, q: float) -> float:
         """q in [0, 100]; returns +inf when no samples were kept."""
         if not self._samples:
             return float("inf")
         return float(np.percentile(np.asarray(self._samples), q))
-
-    def p50(self) -> float:
-        return self.percentile(50.0)
 
     def p99(self) -> float:
         return self.percentile(99.0)
@@ -81,16 +74,6 @@ class LatencyRecorder:
         if not self._samples:
             return float("inf")
         return float(np.mean(self._samples))
-
-    def max(self) -> float:
-        if not self._samples:
-            return float("inf")
-        return float(np.max(self._samples))
-
-    def summary(self) -> LatencySummary:
-        """All summary statistics from one conversion of the sample list
-        (``percentile``/``mean``/``max`` each convert separately)."""
-        return summarize_samples(self._samples)
 
 
 class ThroughputMeter:
@@ -111,14 +94,6 @@ class ThroughputMeter:
         if self.first_completion is None:
             self.first_completion = completion_time
         self.last_completion = completion_time
-
-    def byte_rate(self, window: float) -> float:
-        if window <= 0:
-            return 0.0
-        return self.bytes / window
-
-    def gbps(self, window: float) -> float:
-        return self.byte_rate(window) * 8 / 1e9
 
 
 @dataclass

@@ -227,25 +227,15 @@ def complete(name: str, category: str, ts: float, dur: float,
                                 dur_us=dur * 1e6, args=args))
 
 
-def counter(name: str, category: str, ts: Optional[float] = None,
-            track: Optional[str] = None, **values: float) -> None:
-    if not TRACING:
-        return
-    ts_us, resolved = _resolve(ts, track)
-    _recorder.append(TraceEvent(name=name, category=category, phase="C",
-                                track=resolved, ts_us=ts_us, args=values))
-
-
 def counter_series(name: str, category: str, ts_seconds, track: Optional[str] = None,
                    **columns) -> None:
     """Emit one counter event per timestamp in a single batched call.
 
     ``ts_seconds`` is a sequence of simulated-time stamps and each value
     in ``columns`` a same-length sequence; element i of every column
-    becomes event i's args.  Equivalent to calling :func:`counter` in a
-    loop (identical events, identical order) but the per-event Python
-    overhead — flag check, track resolution, kwarg packing — is paid
-    once per series instead of once per point.
+    becomes event i's args, in order.  The per-event Python overhead —
+    flag check, track resolution, kwarg packing — is paid once per
+    series instead of once per point.
     """
     if not TRACING:
         return

@@ -41,9 +41,6 @@ class WorkUnits:
     def items(self) -> Iterator:
         return iter(self._counts.items())
 
-    def kinds(self):
-        return self._counts.keys()
-
     def scaled(self, factor: float) -> "WorkUnits":
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
@@ -57,6 +54,3 @@ class WorkUnits:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counts.items()))
         return f"WorkUnits({inner})"
-
-    def total(self) -> float:
-        return sum(self._counts.values())

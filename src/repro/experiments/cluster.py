@@ -12,11 +12,6 @@ Every flow scenario is an independent work unit (a pure function of
 ``(topology, mix, flow size, seed)``), so ``--jobs N`` fans them across
 processes with output — including the ``fabric.*`` metric counters —
 identical to the serial run.
-
-The ``single`` fidelity tier is the reduction contract: a one-node,
-fabric-less "cluster" delegates straight to the registered fig4/fig5
-runners, producing byte-identical single-node artifacts (no fabric code
-on that path at all).
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.scenario import ScenarioResult, run_scenario
-from ..cluster.topology import TopologySpec, single_node_spec
+from ..cluster.topology import TopologySpec
 from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from ..faults.domains import outage_windows, rack_outage, rack_targets
@@ -101,21 +96,6 @@ class ClusterStudy:
     scenarios: Tuple[Tuple[str, ScenarioResult], ...]
     fleet: Tuple[FleetPlacement, ...]
     outage: Optional[RackOutageStudy]
-
-
-@dataclass(frozen=True)
-class SingleNodeReduction:
-    """The N=1, fabric-less tier: the seed repo's own artifacts.
-
-    Carries the registered fig4/fig5 results verbatim — formatted output
-    and JSON rows are byte-identical to ``python -m repro fig4``/``fig5``
-    at the same fidelity, which is the reduction guarantee the cluster
-    layer is held to (tests/cluster/test_single_node_reduction.py).
-    """
-
-    topology_id: str
-    fig4_rows: Any
-    fig5_curves: Any
 
 
 def _scenario_unit(label: str, kind: str, ecn: bool, racks: int,
@@ -243,9 +223,7 @@ def run_cluster_study(
 # ---------------------------------------------------------------------------
 
 
-def format_cluster(study) -> str:
-    if isinstance(study, SingleNodeReduction):
-        return _format_reduction(study)
+def format_cluster(study: ClusterStudy) -> str:
     lines = [
         f"topology {study.topology_id}: {study.racks} racks x "
         f"{study.nodes_per_rack} nodes, {study.spines} spines, "
@@ -317,20 +295,6 @@ def format_cluster(study) -> str:
     return "\n".join(lines)
 
 
-def _format_reduction(study: SingleNodeReduction) -> str:
-    from .fig4 import format_fig4
-    from .fig5 import format_fig5
-
-    return "\n".join([
-        f"topology {study.topology_id}: single node, no fabric — "
-        "delegating to the single-node artifacts",
-        "",
-        format_fig4(study.fig4_rows),
-        "",
-        format_fig5(study.fig5_curves),
-    ])
-
-
 # ---------------------------------------------------------------------------
 # JSON artifact
 # ---------------------------------------------------------------------------
@@ -364,16 +328,7 @@ def _scenario_json(label: str, result: ScenarioResult) -> Dict[str, Any]:
     }
 
 
-def cluster_json(study) -> Dict[str, Any]:
-    if isinstance(study, SingleNodeReduction):
-        from .fig4 import fig4_row_json
-
-        return {
-            "topology_id": study.topology_id,
-            "n_nodes": 1,
-            "scenarios": [],
-            "single_node_fig4": [fig4_row_json(r) for r in study.fig4_rows],
-        }
+def cluster_json(study: ClusterStudy) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "topology_id": study.topology_id,
         "n_nodes": study.n_nodes,
@@ -442,72 +397,11 @@ CLUSTER_SCHEMA = {
 # ---------------------------------------------------------------------------
 
 
-def _single_tier() -> Fidelity:
-    """The ``single`` tier: N=1 reduction at fig4/fig5 smoke fidelity."""
-    from .fig4 import FIG4_SMOKE_KEYS
-    from .fig5 import SMOKE_RATES_GBPS
-
-    return Fidelity(samples=40, requests=2_500, keys=FIG4_SMOKE_KEYS,
-                    rates_gbps=tuple(SMOKE_RATES_GBPS),
-                    params={"single_node": True})
-
-
-def tier_topology_id(tier: str) -> str:
-    """The topology a ``cluster`` run at ``tier`` will realize.
-
-    Run-farm manifest headers record this id so ``--resume`` can reject
-    a manifest written under a different cluster shape (resuming a 2x4
-    incast study into a single-node reduction would silently mix
-    incompatible artifacts).
-    """
-    from .registry import get
-
-    params = get("cluster").tiers[tier].params
-    if params.get("single_node"):
-        return single_node_spec(
-            params.get("node_profile", "host+bf2")).topology_id()
-    return TopologySpec(
-        racks=params.get("racks", 2),
-        nodes_per_rack=params.get("nodes_per_rack", 4),
-        spines=params.get("spines", 2),
-        node_profile=params.get("node_profile", "host+bf2"),
-    ).topology_id()
-
-
 def _cluster_runner(ctx: ExperimentContext):
     fid = ctx.fidelity()
-    params = fid.params
-    if params.get("single_node"):
-        # The N=1, fabric-less reduction: call the single-node runners
-        # exactly as their own specs would — same fidelity knobs, same
-        # streams/executor — so the artifacts are byte-identical to the
-        # direct fig4/fig5 verbs.  No cluster machinery on this path.
-        from .fig4 import run_fig4
-        from .fig5 import run_fig5
-
-        common = dict(samples=fid.samples, n_requests=fid.requests,
-                      streams=ctx.streams, executor=ctx.executor,
-                      engine=fid.engine)
-        fig4_kwargs = dict(common)
-        if fid.keys is not None:
-            fig4_kwargs["keys"] = fid.keys
-        fig5_kwargs = dict(common)
-        if fid.rates_gbps is not None:
-            fig5_kwargs["rates_gbps"] = fid.rates_gbps
-        return SingleNodeReduction(
-            topology_id=single_node_spec(
-                params.get("node_profile", "host+bf2")).topology_id(),
-            fig4_rows=run_fig4(**fig4_kwargs),
-            fig5_curves=run_fig5(**fig5_kwargs),
-        )
     return run_cluster_study(
-        racks=params.get("racks", 2),
-        nodes_per_rack=params.get("nodes_per_rack", 4),
-        spines=params.get("spines", 2),
-        node_profile=params.get("node_profile", "host+bf2"),
-        scenarios=params.get("scenarios", DEFAULT_SCENARIOS),
-        flow_bytes=params.get("flow_bytes", DEFAULT_FLOW_BYTES),
-        flows_per_node=params.get("flows_per_node", 1),
+        scenarios=fid.params.get("scenarios", DEFAULT_SCENARIOS),
+        flow_bytes=fid.params.get("flow_bytes", DEFAULT_FLOW_BYTES),
         samples=fid.samples,
         n_packets=fid.requests,
         streams=ctx.streams,
@@ -531,12 +425,6 @@ register(Experiment(
             params={"flow_bytes": SMOKE_FLOW_BYTES,
                     "scenarios": SMOKE_SCENARIOS},
         ),
-        # The N=1 reduction contract (no fabric, no cluster code paths):
-        # exercised by tests/cluster/, not by the CLI smoke matrix.  Its
-        # caps/keys/rates mirror fig4/fig5's smoke tiers exactly, so the
-        # reduction has a byte-identical direct counterpart to test
-        # against without a full-fidelity measurement.
-        "single": _single_tier(),
     },
     unit_granularity="one (traffic mix, AQM) cluster scenario",
     degradation=DEGRADE_PARTIAL,

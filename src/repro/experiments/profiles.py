@@ -55,8 +55,8 @@ class FunctionProfile:
     accel_engine: Optional[str] = None
     accel_mode: Optional[str] = None
     accel_op_based: bool = False
-    # engines are fed by poll-mode staging cores even when the CPU-only
-    # deployment of the same function uses a kernel stack (IPsec)
+    # the stack of the cores staging work for the engine, when it is not
+    # ``stack``; no profile sets it today
     accel_staging_stack: Optional[str] = None
     # per-platform core counts (default: all 8)
     cores: Dict[str, int] = field(default_factory=dict)
@@ -491,80 +491,6 @@ def _profile_ovs(load_label: str, samples: int) -> FunctionProfile:
     )
 
 
-
-
-def _profile_decompression(file_label: str, samples: int) -> FunctionProfile:
-    """Inflate (extension experiment): the compression engine's reverse
-    mode, exercised with payloads produced by the real compressor."""
-    chunk = 4096
-    data = corpus_mod.make_compression_input(file_label, chunk * max(6, min(samples, 12)))
-    work_samples = []
-    compressed_sizes = []
-    for offset in range(0, len(data), chunk):
-        piece = data[offset : offset + chunk]
-        if len(piece) < chunk:
-            break
-        payload = deflate.compress(piece, level=9).payload
-        restored, work = deflate.decompress(payload)
-        assert restored == piece
-        work_samples.append(work)
-        compressed_sizes.append(len(payload))
-    mean_compressed = float(np.mean(compressed_sizes))
-    return FunctionProfile(
-        key=f"decompression:{file_label}",
-        display=f"Inflate {file_label}",
-        category="hardware",
-        stack="dpdk",
-        platforms=("host", "snic-accel"),
-        wire_bytes=mean_compressed + HEADER_BYTES,
-        payload_bytes=mean_compressed,
-        work_samples=work_samples,
-        stack_packets=1.0,
-        accel_engine="compression",
-        accel_mode="inflate",
-        host_power_scale=0.55,
-        notes="inflate of level-9 streams (extension: not in the paper's Fig. 4)",
-    )
-
-
-
-
-def _profile_ipsec(direction: str, samples: int) -> FunctionProfile:
-    """IPsec ESP gateway (extension): the strongSwan use case of §2.2 A2,
-    i.e. crypto applied per packet rather than to local buffers."""
-    from ..functions import ipsec as ipsec_mod
-
-    rng = _rng(f"ipsec:{direction}")
-    tunnel = ipsec_mod.Tunnel.create(
-        spi=0xBEEF, encryption_key=b"0123456789abcdef", integrity_key=b"ik"
-    )
-    payload_bytes = 1024
-    sample = pktgen.gbps_stream(10.0, payload_bytes, samples, rng)
-    work_samples = []
-    for payload in pktgen.payload_stream(sample, rng):
-        packet, encap_work = tunnel.protect(payload)
-        if direction == "encap":
-            work_samples.append(encap_work)
-        else:
-            _, decap_work = tunnel.unprotect(packet)
-            work_samples.append(decap_work)
-    return FunctionProfile(
-        key=f"ipsec:{direction}",
-        display=f"IPsec ESP {direction}",
-        category="hardware",
-        stack="udp",
-        platforms=("host", "snic-cpu", "snic-accel"),
-        wire_bytes=payload_bytes + 20 + HEADER_BYTES,
-        payload_bytes=payload_bytes,
-        work_samples=work_samples,
-        stack_packets=2.0,  # receive plaintext side, transmit tunnel side
-        accel_engine="crypto",
-        accel_mode="esp",
-        accel_staging_stack="dpdk",
-        notes="ESP tunnel gateway at packet rate (extension; strongSwan-style)",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -600,27 +526,11 @@ _BUILDERS: Dict[str, Callable[[int], FunctionProfile]] = {
     "rem:file_executable@mtu": lambda n: _profile_rem("file_executable", n, "mtu"),
     "compression:app": lambda n: _profile_compression("app", n),
     "compression:txt": lambda n: _profile_compression("txt", n),
-    "decompression:app": lambda n: _profile_decompression("app", n),
-    "decompression:txt": lambda n: _profile_decompression("txt", n),
-    "ipsec:encap": lambda n: _profile_ipsec("encap", n),
-    "ipsec:decap": lambda n: _profile_ipsec("decap", n),
     "ovs:10": lambda n: _profile_ovs("10", n),
     "ovs:100": lambda n: _profile_ovs("100", n),
 }
 
-ALL_PROFILE_KEYS = tuple(
-    k for k in _BUILDERS
-    if "@mtu" not in k
-    and not k.startswith("decompression")
-    and not k.startswith("ipsec")
-)
-# Extension configs beyond the paper's Fig. 4 set.
-EXTENSION_PROFILE_KEYS = (
-    "decompression:app",
-    "decompression:txt",
-    "ipsec:encap",
-    "ipsec:decap",
-)
+ALL_PROFILE_KEYS = tuple(k for k in _BUILDERS if "@mtu" not in k)
 
 DEFAULT_SAMPLES = 300
 

@@ -6,8 +6,8 @@ module the repo re-encoded that matrix in four places (the CLI dispatch,
 the report generator, the trace verb's smoke shrinking, and hand-kept
 capability sets like ``CSV_COMMANDS``).  Now each experiment registers a
 single :class:`Experiment` spec and every consumer — CLI verbs, the
-EXPERIMENTS.md report, the flight-recorder ``trace`` verb, the CI smoke
-matrix, and the CSV/JSON exporters — is a generic walk over the registry.
+EXPERIMENTS.md report, the flight-recorder ``trace`` verb, the cold-start
+tests, and the CSV/JSON exporters — is a generic walk over the registry.
 
 Adding an experiment is one row of :data:`TABLE` (verb, defining module,
 title) plus the spec its module registers at import::
@@ -26,7 +26,7 @@ title) plus the spec its module registers at import::
     ))
 
 and ``python -m repro myexp`` (with ``--smoke``, ``--json``, ``--trace``,
-``--jobs`` ...) plus the CI smoke matrix all exist with no further edits.
+``--jobs`` ...) plus its cold-start test all exist with no further edits.
 The table is what keeps the CLI cheap: the parser's verbs, their help
 lines and :func:`names` read it and import nothing, and :func:`get`
 imports only the one module that defines the verb asked for.
@@ -96,8 +96,8 @@ DEFAULT_SAMPLES = 200
 DEFAULT_REQUESTS = 12_000
 
 # Every shipped verb as (name, defining module, title), in the paper's
-# artifact order: the CLI verb list, the report walk and the CI smoke
-# matrix all follow it.  The module registers the verb's spec when it is
+# artifact order: the CLI verb list, the report walk and the cold-start
+# tests all follow it.  The module registers the verb's spec when it is
 # imported; the title here is the spec's title and the verb's help line.
 TABLE: Tuple[Tuple[str, str, str], ...] = (
     ("fig4", "repro.experiments.fig4",
@@ -471,23 +471,13 @@ def title(name: str) -> str:
     return _TITLES[name] if name in _TITLES else _REGISTRY[name].title
 
 
-def all_experiments() -> List[Experiment]:
-    load_all()
-    return [_REGISTRY[name] for name in names()]
-
-
-def csv_capable() -> List[str]:
-    """Verbs whose spec carries a CSV writer (replaces ``CSV_COMMANDS``)."""
-    return [spec.name for spec in all_experiments() if spec.supports_csv]
-
-
 def load_all() -> None:
     """Import every module of the table, for walks over the whole registry.
 
-    The report, :func:`csv_capable` and the CI smoke matrix walk every
-    spec; a single verb only needs :func:`get`.  The report generator is
-    the registry's whole-table consumer, so it loads here as well: after
-    this call every module a ``report`` run executes is imported.
+    A walk over every spec needs this; a single verb only needs
+    :func:`get`.  The report generator is the registry's whole-table
+    consumer, so it loads here as well: after this call every module a
+    ``report`` run executes is imported.
     """
     for module in _MODULES.values():
         importlib.import_module(module)

@@ -31,19 +31,13 @@ class SnicHealth:
         self.timeline = timeline
         self.target = target
 
-    def available(self, t: float) -> bool:
-        return not self.timeline.active(t, target=self.target, kind=KIND_OUTAGE)
-
     def service_profile(
         self, times: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized ``(available, service_factor, unavailable_until)``.
 
-        Element ``i`` equals the scalar methods evaluated at ``times[i]``
-        — the same comparisons and arithmetic over the same episode
-        floats — so per-packet simulators can precompute health for a
-        whole arrival vector instead of querying three methods per
-        packet.  ``service_factor`` is ``inf`` wherever the path is down
+        Per-packet simulators precompute health for a whole arrival
+        vector at once.  ``service_factor`` is ``inf`` wherever the path is down
         (callers never read it there); ``unavailable_until`` equals the
         timestamp itself wherever the path is up.
         """

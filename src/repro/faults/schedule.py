@@ -1,16 +1,16 @@
 """Fault specifications and their deterministic materialization.
 
 A :class:`FaultSpec` describes *what* breaks (a named target component, a
-fault kind, a severity) and *when* it breaks (one-shot, periodic, or a
-stochastic MTBF/MTTR renewal process).  :func:`materialize` expands a spec
+fault kind, a severity) and *when* it breaks (one-shot, or a stochastic
+MTBF/MTTR renewal process).  :func:`materialize` expands a spec
 into concrete ``(start, end)`` episodes over a horizon, drawing any random
 quantities from a per-fault named substream of :class:`~repro.core.rng.
 RandomStreams` — so adding a fault to a scenario never perturbs the draws
 of another, and whole fault schedules replay bit-identically.
 
 :class:`FaultTimeline` is the query side: components (and the vectorized
-simulators in :mod:`repro.experiments.faults`) ask it which faults are
-active at a time ``t``, or for a boolean mask over an arrival vector.
+simulators in :mod:`repro.experiments.faults`) ask it for a fault's
+episodes, or for a boolean mask over an arrival vector.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ KIND_CORE_LOSS = "core-loss"  # severity = fraction of cores lost
 KIND_BURST_LOSS = "burst-loss"  # correlated (Gilbert-Elliott) loss episode
 
 MODE_ONE_SHOT = "one-shot"
-MODE_PERIODIC = "periodic"
 MODE_STOCHASTIC = "stochastic"
 
 
@@ -45,8 +44,7 @@ class FaultSpec:
     severity: float = 1.0  # kind-specific (throttle factor, lost-core frac...)
     mode: str = MODE_ONE_SHOT
     start_s: float = 0.0
-    duration_s: float = 0.0  # episode length (one-shot/periodic), or MTTR mean
-    period_s: float = 0.0  # periodic spacing between episode starts
+    duration_s: float = 0.0  # one-shot episode length
     mtbf_s: float = 0.0  # stochastic: mean time between failures
     mttr_s: float = 0.0  # stochastic: mean time to repair
     # Correlation domain: stochastic specs sharing a ``correlation`` key
@@ -56,10 +54,8 @@ class FaultSpec:
     correlation: Optional[str] = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_ONE_SHOT, MODE_PERIODIC, MODE_STOCHASTIC):
+        if self.mode not in (MODE_ONE_SHOT, MODE_STOCHASTIC):
             raise ValueError(f"unknown fault mode {self.mode!r}")
-        if self.mode == MODE_PERIODIC and self.period_s <= 0:
-            raise ValueError("periodic fault needs period_s > 0")
         if self.mode == MODE_STOCHASTIC and (self.mtbf_s <= 0 or self.mttr_s <= 0):
             raise ValueError("stochastic fault needs mtbf_s > 0 and mttr_s > 0")
         if self.duration_s < 0 or self.start_s < 0:
@@ -73,22 +69,6 @@ class FaultSpec:
         return cls(name=name, target=target, kind=kind, severity=severity,
                    mode=MODE_ONE_SHOT, start_s=start_s, duration_s=duration_s)
 
-    @classmethod
-    def periodic(cls, name: str, target: str, start_s: float, period_s: float,
-                 duration_s: float, kind: str = KIND_OUTAGE,
-                 severity: float = 1.0) -> "FaultSpec":
-        return cls(name=name, target=target, kind=kind, severity=severity,
-                   mode=MODE_PERIODIC, start_s=start_s, period_s=period_s,
-                   duration_s=duration_s)
-
-    @classmethod
-    def stochastic(cls, name: str, target: str, mtbf_s: float, mttr_s: float,
-                   kind: str = KIND_OUTAGE, severity: float = 1.0,
-                   start_s: float = 0.0,
-                   correlation: Optional[str] = None) -> "FaultSpec":
-        return cls(name=name, target=target, kind=kind, severity=severity,
-                   mode=MODE_STOCHASTIC, start_s=start_s, mtbf_s=mtbf_s,
-                   mttr_s=mttr_s, correlation=correlation)
 
 
 Episode = Tuple[float, float]  # [start, end) in simulated seconds
@@ -108,13 +88,6 @@ def materialize(spec: FaultSpec, horizon_s: float,
         if spec.start_s >= horizon_s or spec.duration_s == 0:
             return []
         return [(spec.start_s, min(spec.start_s + spec.duration_s, horizon_s))]
-    if spec.mode == MODE_PERIODIC:
-        episodes: List[Episode] = []
-        start = spec.start_s
-        while start < horizon_s:
-            episodes.append((start, min(start + spec.duration_s, horizon_s)))
-            start += spec.period_s
-        return episodes
     # Stochastic: alternating exponential up/down times (MTBF / MTTR).
     streams = streams or RandomStreams()
     if spec.correlation is not None:
@@ -132,20 +105,11 @@ def materialize(spec: FaultSpec, horizon_s: float,
     return episodes
 
 
-@dataclass
-class ActiveFault:
-    """A fault episode as seen by a component at query time."""
-
-    spec: FaultSpec
-    start_s: float
-    end_s: float
-
-
 class FaultTimeline:
     """Materialized schedule: which faults are active when.
 
-    Built once per run from a list of specs; queried per packet (scalar) or
-    per arrival vector (numpy mask) by fault-aware simulators.
+    Built once per run from a list of specs; queried per arrival vector
+    (numpy mask) by fault-aware simulators.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], horizon_s: float,
@@ -158,29 +122,6 @@ class FaultTimeline:
 
     def episodes(self, name: str) -> List[Episode]:
         return list(self._episodes[name])
-
-    def active(self, t: float, target: Optional[str] = None,
-               kind: Optional[str] = None) -> List[ActiveFault]:
-        """Faults active at time ``t``, optionally filtered."""
-        hits: List[ActiveFault] = []
-        for spec in self.specs:
-            if target is not None and spec.target != target:
-                continue
-            if kind is not None and spec.kind != kind:
-                continue
-            for start, end in self._episodes[spec.name]:
-                if start <= t < end:
-                    hits.append(ActiveFault(spec, start, end))
-                    break
-        return hits
-
-    def severity(self, t: float, target: str, kind: str,
-                 default: float = 0.0) -> float:
-        """Max severity among matching active faults (``default`` if none)."""
-        hits = self.active(t, target=target, kind=kind)
-        if not hits:
-            return default
-        return max(hit.spec.severity for hit in hits)
 
     def active_mask(self, times: np.ndarray, target: str,
                     kind: Optional[str] = None) -> np.ndarray:

@@ -62,8 +62,3 @@ def digest(message: bytes) -> Tuple[bytes, WorkUnits]:
 
     out = struct.pack(">5I", h0, h1, h2, h3, h4)
     return out, WorkUnits({"sha1_block": float(blocks)})
-
-
-def hexdigest(message: bytes) -> str:
-    raw, _ = digest(message)
-    return raw.hex()

@@ -57,7 +57,6 @@ def decode_command(payload: bytes) -> List[bytes]:
 class StoreStats:
     gets: int = 0
     sets: int = 0
-    deletes: int = 0
     hits: int = 0
     misses: int = 0
     expired: int = 0
@@ -161,15 +160,6 @@ class KeyValueStore:
         work.add("kv_value_byte", float(len(entry.value)))
         return entry.value, work
 
-    def delete(self, key: bytes) -> Tuple[bool, WorkUnits]:
-        self.stats.deletes += 1
-        work = WorkUnits({"kv_op": 1.0, "hash_probe": 1.0})
-        entry = self._data.pop(key, None)
-        if entry is not None:
-            self._memory_used -= self._entry_size(key, entry.value)
-            return True, work
-        return False, work
-
     def execute(self, command: bytes, now: float = 0.0) -> Tuple[bytes, WorkUnits]:
         """Process one encoded command, return (response, work)."""
         parts = decode_command(command)
@@ -188,9 +178,6 @@ class KeyValueStore:
                 ttl = float(parts[4])
             work = self.set(parts[1], parts[2], now, ttl)
             return b"+OK\r\n", work
-        if verb == b"DEL" and len(parts) == 2:
-            removed, work = self.delete(parts[1])
-            return b":%d\r\n" % int(removed), work
         if verb == b"INCR" and len(parts) == 2:
             value, work = self.get(parts[1], now)
             try:

@@ -58,10 +58,6 @@ class RamDisk:
         self._blocks: Dict[int, Union[bytes, memoryview]] = {}
         self._zero = bytes(block_bytes)
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.block_count * self.block_bytes
-
     def read(self, lba: int, blocks: int) -> bytes:
         self._check(lba, blocks)
         stored, zero = self._blocks.get, self._zero

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
-
-FiveTuple = Tuple[int, int, int, int, int]  # proto, src_ip, src_port, dst_ip, dst_port
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -48,10 +45,6 @@ class Packet:
     def __post_init__(self) -> None:
         header = TCP_FRAME_HEADER if self.proto == PROTO_TCP else UDP_FRAME_HEADER
         self.wire_bytes = max(header + len(self.payload), 64)
-
-    @property
-    def five_tuple(self) -> FiveTuple:
-        return (self.proto, self.src_ip, self.src_port, self.dst_ip, self.dst_port)
 
     def reply_template(self, payload: bytes = b"") -> "Packet":
         """A packet heading back to this packet's sender."""

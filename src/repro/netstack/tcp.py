@@ -1,6 +1,5 @@
 """A miniature TCP: connection state machine with handshake, ordered
-byte-stream delivery, cumulative ACKs, retransmission on timeout, and
-FIN teardown.
+byte-stream delivery, cumulative ACKs and retransmission on timeout.
 
 This is the substrate behind the Redis benchmark's transport and behind
 Strategy 1's discussion (the cost of running this state machine on the
@@ -29,7 +28,6 @@ DEFAULT_SSTHRESH = 64 * 1024  # bytes
 
 SYN = "SYN"
 ACK = "ACK"
-FIN = "FIN"
 ECE = "ECE"  # ECN-Echo: receiver saw a CE mark, keeps echoing until CWR
 CWR = "CWR"  # Congestion Window Reduced: sender acknowledges the echo
 
@@ -38,7 +36,6 @@ _SYN = frozenset({SYN})
 _SYN_ACK = frozenset({SYN, ACK})
 _ACK = frozenset({ACK})
 _ACK_CWR = frozenset({ACK, CWR})
-_FIN_ACK = frozenset({FIN, ACK})
 _ECE = frozenset({ECE})
 
 
@@ -48,9 +45,6 @@ class TcpState(Enum):
     SYN_SENT = "syn-sent"
     SYN_RECEIVED = "syn-received"
     ESTABLISHED = "established"
-    FIN_WAIT = "fin-wait"
-    CLOSE_WAIT = "close-wait"
-    TIME_WAIT = "time-wait"
 
 
 @dataclass(slots=True)
@@ -164,7 +158,6 @@ class TcpConnection:
         self._recv_buffer = bytearray()
         self._recv_waiters: Deque[Tuple[int, Event]] = deque()
         self._established_event = Event(self.sim)
-        self._closed_event = Event(self.sim)
         self.retransmissions = 0
         self._timer_generation = 0
         # congestion control (Tahoe-style slow start + AIMD on loss)
@@ -193,13 +186,10 @@ class TcpConnection:
     def established(self) -> Event:
         return self._established_event
 
-    def closed(self) -> Event:
-        return self._closed_event
-
     def send(self, data: bytes) -> None:
         """Segment and transmit application data (window permitting;
         the rest queues in the send buffer until ACKs open the cwnd)."""
-        if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+        if self.state != TcpState.ESTABLISHED:
             raise OSError(f"send in state {self.state}")
         for offset in range(0, len(data), MSS):
             self._send_buffer.append(data[offset : offset + MSS])
@@ -231,15 +221,6 @@ class TcpConnection:
         else:
             self._recv_waiters.append((nbytes, event))
         return event
-
-    def close(self) -> None:
-        if self.state == TcpState.ESTABLISHED:
-            self.state = TcpState.FIN_WAIT
-            self._send_control(_FIN_ACK)
-        elif self.state == TcpState.CLOSE_WAIT:
-            self.state = TcpState.TIME_WAIT
-            self._send_control(_FIN_ACK)
-            self._finish_close()
 
     # -- internals ----------------------------------------------------------
 
@@ -345,8 +326,6 @@ class TcpConnection:
             self._handle_ack(packet.ack)
         if packet.payload:
             self._handle_data(packet)
-        if FIN in flags:
-            self._handle_fin(packet)
 
     def _on_ecn_echo(self) -> None:
         """React to an ECN echo: multiplicative decrease, once per window.
@@ -421,18 +400,3 @@ class TcpConnection:
             data = bytes(self._recv_buffer[:nbytes])
             del self._recv_buffer[:nbytes]
             event.trigger(data)
-
-    def _handle_fin(self, packet: Packet) -> None:
-        self.rcv_nxt = max(self.rcv_nxt, packet.seq + 1)
-        if self.state == TcpState.ESTABLISHED:
-            self.state = TcpState.CLOSE_WAIT
-            self._send_control(_ACK)
-        elif self.state == TcpState.FIN_WAIT:
-            self.state = TcpState.TIME_WAIT
-            self._send_control(_ACK)
-            self._finish_close()
-
-    def _finish_close(self) -> None:
-        if not self._closed_event.triggered:
-            self._closed_event.trigger(self)
-        self.state = TcpState.CLOSED

@@ -157,9 +157,6 @@ class Gauge:
         self.value = float(value)
         self.updates += 1
 
-    def add(self, amount: float) -> None:
-        self.set(self.value + amount)
-
 
 class Histogram:
     """Log-bucketed counts plus raw values for exact quantiles.
@@ -263,9 +260,6 @@ class MetricRegistry:
                   help: str = "") -> Histogram:
         return self._get_or_create(name, HISTOGRAM,
                                    lambda: Histogram(name, buckets, help))
-
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
 
     def metrics(self) -> List[Metric]:
         """Every registered metric, sorted by name (stable exposition)."""
@@ -387,10 +381,6 @@ def registry() -> MetricRegistry:
 
 def counter(name: str, help: str = "") -> Counter:
     return _DEFAULT.counter(name, help)
-
-
-def gauge(name: str, help: str = "") -> Gauge:
-    return _DEFAULT.gauge(name, help)
 
 
 def histogram(name: str, buckets: Sequence[float] = (),

@@ -100,11 +100,6 @@ class FleetPlacement:
     chosen: str
     reason: str
 
-    @property
-    def best(self) -> FleetOption:
-        return self.options[self.chosen]
-
-
 def _node_capacity_rps(profile: FunctionProfile, platform: str,
                        serve_cores: int) -> float:
     """Per-node capacity: the single-platform estimate scaled to the

@@ -59,12 +59,6 @@ class BalancerOutcome:
     mean_latency_s: float
     snic_monitor_utilization: float
 
-    @property
-    def loss_fraction(self) -> float:
-        total = self.sent_to_snic + self.sent_to_host + self.dropped
-        return self.dropped / total if total else 0.0
-
-
 ROUTE_SNIC, ROUTE_HOST, ROUTE_DROP = 0, 1, 2
 
 
@@ -338,16 +332,12 @@ class FleetOutcome:
     within_deadline: int
 
     @property
-    def served(self) -> int:
-        return self.offered - self.dropped
-
-    @property
     def availability(self) -> float:
         """Served fraction — within the deadline when one is set."""
         if self.offered == 0:
             return 1.0
         if self.deadline_s is None:
-            return self.served / self.offered
+            return (self.offered - self.dropped) / self.offered
         return self.within_deadline / self.offered
 
 

@@ -92,6 +92,3 @@ class ServerPowerModel:
         if self.snic is not None:
             watts += self.snic.active_power(load)
         return watts
-
-    def active_power(self, load: ComponentLoad) -> float:
-        return self.power(load) - self.idle_power

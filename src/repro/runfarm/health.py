@@ -225,6 +225,3 @@ class HealthMonitor:
                 alive=alive,
             )
         return beats
-
-    def summary(self) -> str:
-        return f"{self.total_beats} heartbeats"

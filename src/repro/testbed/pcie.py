@@ -9,7 +9,7 @@ host-initiated accelerator offload.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..core.engine import Event, Simulator
 from ..hardware.specs import PcieSpec
@@ -25,7 +25,6 @@ class PcieLink:
         self.bytes_per_second = spec.bandwidth_gbs * 1e9
         self._busy_until = 0.0
         self.transactions = 0
-        self.bytes_moved = 0
 
     def transfer(self, nbytes: int, value: Any = None) -> Event:
         """Move ``nbytes`` across the link; the event fires on delivery,
@@ -33,15 +32,8 @@ class PcieLink:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         self.transactions += 1
-        self.bytes_moved += nbytes
         serialization = nbytes / self.bytes_per_second
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + serialization
         delay = (start - self.sim.now) + serialization + self.spec.transaction_latency_s
         return self.sim.timeout(delay, value)
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        horizon = elapsed if elapsed is not None else self.sim.now
-        if horizon <= 0:
-            return 0.0
-        return min(self.bytes_moved / self.bytes_per_second / horizon, 1.0)

@@ -23,18 +23,6 @@ class PacketSample:
     arrivals: np.ndarray  # seconds
     sizes: np.ndarray  # payload bytes
 
-    def __len__(self) -> int:
-        return len(self.arrivals)
-
-    @property
-    def duration(self) -> float:
-        return float(self.arrivals[-1]) if len(self.arrivals) else 0.0
-
-    def offered_gbps(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return float(self.sizes.sum()) * 8 / self.duration / 1e9
-
 
 # CTU-Mixed-Capture-5-like mix: bimodal with small control packets and
 # large data segments — the canonical datacenter shape (Benson et al.).

@@ -1,7 +1,5 @@
 """Tests for the ASCII figure renderers."""
 
-import pytest
-
 from repro.analysis.plots import bar_chart, line_plot
 
 
@@ -30,10 +28,6 @@ class TestBarChart:
     def test_nonpositive_values_handled(self):
         text = bar_chart([("zero", 0.0), ("ok", 1.5)])
         assert "ok" in text
-
-    def test_linear_scale(self):
-        text = bar_chart([("a", 2.0)], log_scale=False)
-        assert "2.00" in text
 
 
 class TestLinePlot:

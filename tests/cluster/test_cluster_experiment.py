@@ -27,7 +27,7 @@ class TestRegistry:
     def test_cluster_is_registered(self):
         assert "cluster" in registry.names()
         spec = registry.get("cluster")
-        assert set(spec.tiers) >= {"default", "smoke", "single"}
+        assert set(spec.tiers) == {"default", "smoke"}
 
     def test_smoke_tier_runs_through_context(self):
         ctx = registry.ExperimentContext(

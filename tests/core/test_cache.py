@@ -79,13 +79,12 @@ class TestMemoryLayer:
         assert store.stats.hits == 1
         assert store.stats.misses == 1
 
-    def test_clear_and_len(self):
+    def test_len_counts_entries(self):
         store = ResultCache()
         store.put(cache_key("a"), 1)
         store.put(cache_key("b"), 2)
+        store.put(cache_key("a"), 3)
         assert len(store) == 2
-        store.clear()
-        assert len(store) == 0
 
     def test_instrument_counters_track_lookups(self):
         store = ResultCache()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.engine import SimulationError, Simulator
+from repro.core.engine import Event, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -55,7 +55,7 @@ def test_same_time_events_fire_fifo():
 
 def test_event_trigger_twice_raises():
     sim = Simulator()
-    event = sim.event()
+    event = Event(sim)
     event.trigger(1)
     with pytest.raises(SimulationError):
         event.trigger(2)
@@ -63,7 +63,7 @@ def test_event_trigger_twice_raises():
 
 def test_callback_on_already_fired_event_runs_later():
     sim = Simulator()
-    event = sim.event()
+    event = Event(sim)
     event.trigger("v")
     sim.run()
     seen = []
@@ -88,7 +88,7 @@ def test_process_sequences_timeouts():
     process = sim.process(proc())
     sim.run()
     assert trace == [("start", 0.0), ("mid", 1.0), ("end", 3.0)]
-    assert process.fired
+    assert process.triggered
     assert process.value == "result"
 
 
@@ -140,12 +140,6 @@ def test_two_processes_interleave():
     ]
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    sim.timeout(3.0)
-    assert sim.peek() == 3.0
-    sim.run()
-    assert sim.peek() == float("inf")
 
 
 def test_nested_process_waits_on_subprocess():

@@ -17,8 +17,8 @@ class TestLatencyRecorder:
         recorder = LatencyRecorder(warmup_until=1.0)
         recorder.record(0.5, 100.0)  # warmup
         recorder.record(1.5, 1.0)
-        assert recorder.count == 1
         assert recorder.p99() == pytest.approx(1.0)
+        assert recorder.mean() == pytest.approx(1.0)
 
     def test_negative_latency_rejected(self):
         recorder = LatencyRecorder()
@@ -30,10 +30,10 @@ class TestLatencyRecorder:
         values = np.linspace(1.0, 100.0, 100)
         for v in values:
             recorder.record(10.0, float(v))
-        assert recorder.p50() == pytest.approx(np.percentile(values, 50))
+        assert recorder.percentile(50) == pytest.approx(
+            np.percentile(values, 50))
         assert recorder.p99() == pytest.approx(np.percentile(values, 99))
         assert recorder.mean() == pytest.approx(values.mean())
-        assert recorder.max() == pytest.approx(100.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
@@ -45,13 +45,13 @@ class TestLatencyRecorder:
 
 
 class TestThroughputMeter:
-    def test_counts_and_rates(self):
+    def test_counts(self):
         meter = ThroughputMeter()
         for t in range(1, 11):
             meter.record(float(t), nbytes=1000)
         assert meter.requests == 10
-        assert meter.byte_rate(window=10.0) == pytest.approx(1000.0)
-        assert meter.gbps(window=10.0) == pytest.approx(8e3 / 1e9)
+        assert meter.bytes == 10_000
+        assert (meter.first_completion, meter.last_completion) == (1.0, 10.0)
 
     def test_warmup_excluded(self):
         meter = ThroughputMeter(warmup_until=5.0)
@@ -60,10 +60,6 @@ class TestThroughputMeter:
         assert meter.requests == 1
         assert meter.bytes == 100
         assert meter.first_completion == 6.0
-
-    def test_zero_window(self):
-        meter = ThroughputMeter()
-        assert meter.gbps(0.0) == 0.0
 
 
 class TestRunMetrics:

@@ -93,17 +93,3 @@ def test_queue_length_tracks_waiters():
     sim.run(until=1.0)
     assert core._in_use == 1
     assert len(core._waiting) == 2
-
-
-def test_utilization_single_busy_server():
-    sim = Simulator()
-    core = Resource(sim, capacity=1)
-
-    def job():
-        yield core.request()
-        yield sim.timeout(4.0)
-        core.release()
-
-    sim.process(job())
-    sim.run(until=8.0)
-    assert core.utilization() == pytest.approx(0.5)

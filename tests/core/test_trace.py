@@ -87,7 +87,7 @@ class TestDisabledNoOp:
     def test_emit_helpers_are_noops_when_disabled(self):
         trace.instant("a", trace.SIM)
         trace.complete("b", trace.SIM, ts=0.0, dur=1.0)
-        trace.counter("c", trace.QUEUE, depth=1)
+        trace.counter_series("c", trace.QUEUE, [0.0], depth=[1])
         assert trace.recorder() is None
         assert metrics.counter(metrics.TRACE_DROPPED).value == 0
 
@@ -106,8 +106,8 @@ class TestExporters:
         trace.instant("probe", trace.PROBE, rate=100.0)
         trace.complete("batch", trace.ACCEL_BATCH, ts=1e-3, dur=5e-6,
                        track="accel", size=32)
-        trace.counter("queue", trace.QUEUE, ts=2e-3, track="q",
-                      depth=3, util=0.5)
+        trace.counter_series("queue", trace.QUEUE, [2e-3], track="q",
+                             depth=[3], util=[0.5])
         return rec
 
     def test_jsonl_one_stable_line_per_event(self):

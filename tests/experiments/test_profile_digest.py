@@ -112,14 +112,6 @@ PROFILE_SHA256 = {
     ("compression:app", 120): "feac193f02dcf770df27b2364058e87e5f42b14e8438780592f086c25e7b643d",
     ("compression:txt", 8): "5e11fe055b48b382bacd6dedbe56ace4341c713b03f2e440beb2445686c422ff",
     ("compression:txt", 120): "8910eb0348ea91f6a63c330bb9a1fd11e4af02c4ddd6d73d73de6f5ae75687d0",
-    ("decompression:app", 8): "6afa40e6148808af03dafeeda803f822764b4d0d937396cf53e852ec14266c33",
-    ("decompression:app", 120): "d23e89fc6a397566032434e5934baa196a3433552f5ed087467f28260cbca3c5",
-    ("decompression:txt", 8): "2b936a2769aa2b37f1ed8084d94bb48d22bd511e7b8730f13eb707f9ac2cc635",
-    ("decompression:txt", 120): "60f80d5a32768b21f7098b2a90f01a62fa69a23de2ce7e9e5b1abd1e62e277f6",
-    ("ipsec:encap", 8): "0192b94e64d4351d772b3c3651be88acd0ee8759c3983bbf35e5bfded8b6eee9",
-    ("ipsec:encap", 120): "43a4f653844ec7685010962d976682459390642b5169b6767c4f760fefa5024e",
-    ("ipsec:decap", 8): "ff79d3cdd01a07eedab34612acc03082e7fa31425eef00b900ef45c1e36616f7",
-    ("ipsec:decap", 120): "df2daf46b1eb35da968c8d3e1b2d7b9bcc449ce8bdd814bce01f404ff99028b5",
     ("ovs:10", 8): "41a9299f8977c4e726e7b430fc230f062d96996928dd24160d625fe9295994dc",
     ("ovs:10", 120): "41a9299f8977c4e726e7b430fc230f062d96996928dd24160d625fe9295994dc",
     ("ovs:100", 8): "9fe695b3092e1c249e11cf6cc3aef11a909825bf95304293423793e8ed399d42",

@@ -102,8 +102,9 @@ class TestRegistryContents:
         assert registry.names()[: len(table)] == table
 
     def test_csv_capability_matches_legacy_set(self):
-        assert set(registry.csv_capable()) == {"fig4", "fig5", "fig6",
-                                              "table5"}
+        capable = {name for name in registry.names()
+                   if registry.get(name).supports_csv}
+        assert capable == {"fig4", "fig5", "fig6", "table5"}
 
     def test_unknown_name_raises_with_roster(self):
         with pytest.raises(KeyError, match="no registered experiment"):
@@ -116,11 +117,11 @@ class TestRegistryContents:
                                                         "fig6")
 
     def test_every_spec_has_smoke_and_default_tier(self):
-        for spec in registry.all_experiments():
+        for spec in map(registry.get, registry.names()):
             assert DEFAULT_TIER in spec.tiers and SMOKE_TIER in spec.tiers
 
     def test_every_spec_declares_a_schema(self):
-        for spec in registry.all_experiments():
+        for spec in map(registry.get, registry.names()):
             assert spec.schema is not None, spec.name
 
 

@@ -15,6 +15,7 @@ from repro.faults.schedule import (
     FaultSpec,
     FaultTimeline,
     KIND_OUTAGE,
+    MODE_STOCHASTIC,
     materialize,
 )
 
@@ -31,15 +32,18 @@ class TestCorrelatedMaterialization:
         assert episodes[0] == episodes[1] == episodes[2]
 
     def test_uncorrelated_specs_draw_independently(self):
-        a = FaultSpec.stochastic("a", "node:0", mtbf_s=100.0, mttr_s=5.0)
-        b = FaultSpec.stochastic("b", "node:1", mtbf_s=100.0, mttr_s=5.0)
+        a = FaultSpec(name="a", target="node:0", mode=MODE_STOCHASTIC,
+                      mtbf_s=100.0, mttr_s=5.0)
+        b = FaultSpec(name="b", target="node:1", mode=MODE_STOCHASTIC,
+                      mtbf_s=100.0, mttr_s=5.0)
         streams = RandomStreams(7)
         assert materialize(a, 10_000.0, streams) != materialize(
             b, 10_000.0, streams)
 
     def test_correlation_does_not_change_uncorrelated_draws(self):
         """Adding a correlated family must not perturb existing specs."""
-        solo = FaultSpec.stochastic("flaky", "link", mtbf_s=1.0, mttr_s=0.2)
+        solo = FaultSpec(name="flaky", target="link", mode=MODE_STOCHASTIC,
+                         mtbf_s=1.0, mttr_s=0.2)
         alone = materialize(solo, 50.0, RandomStreams(7))
         streams = RandomStreams(7)
         for spec in correlated("rack0", ["node:0", "node:1"],

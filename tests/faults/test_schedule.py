@@ -10,8 +10,14 @@ from repro.faults.schedule import (
     KIND_CORE_LOSS,
     KIND_DEGRADE,
     KIND_OUTAGE,
+    MODE_STOCHASTIC,
     materialize,
 )
+
+
+def _stochastic(name, target, mtbf_s, mttr_s):
+    return FaultSpec(name=name, target=target, mode=MODE_STOCHASTIC,
+                     mtbf_s=mtbf_s, mttr_s=mttr_s)
 
 
 class TestSpecs:
@@ -27,26 +33,16 @@ class TestSpecs:
         spec = FaultSpec.one_shot("f", "accel", start_s=20.0, duration_s=1.0)
         assert materialize(spec, 10.0) == []
 
-    def test_periodic_episodes(self):
-        spec = FaultSpec.periodic("f", "link", start_s=0.0, period_s=2.0,
-                                  duration_s=0.5)
-        episodes = materialize(spec, 6.0)
-        assert episodes == [(0.0, 0.5), (2.0, 2.5), (4.0, 4.5)]
-
-    def test_periodic_requires_period(self):
-        with pytest.raises(ValueError):
-            FaultSpec(name="f", target="x", mode="periodic", period_s=0.0)
-
     def test_stochastic_requires_mtbf_mttr(self):
         with pytest.raises(ValueError):
-            FaultSpec.stochastic("f", "x", mtbf_s=0.0, mttr_s=1.0)
+            _stochastic("f", "x", mtbf_s=0.0, mttr_s=1.0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec(name="f", target="x", mode="sometimes")
 
     def test_stochastic_is_deterministic_per_seed(self):
-        spec = FaultSpec.stochastic("flaky", "link", mtbf_s=1.0, mttr_s=0.2)
+        spec = _stochastic("flaky", "link", mtbf_s=1.0, mttr_s=0.2)
         a = materialize(spec, 100.0, RandomStreams(7))
         b = materialize(spec, 100.0, RandomStreams(7))
         assert a == b
@@ -56,15 +52,15 @@ class TestSpecs:
     def test_stochastic_independent_streams_per_fault(self):
         """Adding a second fault must not perturb the first one's draws."""
         streams = RandomStreams(7)
-        spec = FaultSpec.stochastic("flaky", "link", mtbf_s=1.0, mttr_s=0.2)
-        other = FaultSpec.stochastic("other", "accel", mtbf_s=2.0, mttr_s=0.1)
+        spec = _stochastic("flaky", "link", mtbf_s=1.0, mttr_s=0.2)
+        other = _stochastic("other", "accel", mtbf_s=2.0, mttr_s=0.1)
         alone = materialize(spec, 50.0, RandomStreams(7))
         materialize(other, 50.0, streams)
         together = materialize(spec, 50.0, streams)
         assert alone == together
 
     def test_stochastic_mean_downtime_tracks_mttr(self):
-        spec = FaultSpec.stochastic("flaky", "link", mtbf_s=10.0, mttr_s=1.0)
+        spec = _stochastic("flaky", "link", mtbf_s=10.0, mttr_s=1.0)
         timeline = FaultTimeline([spec], horizon_s=10_000.0,
                                  streams=RandomStreams(3))
         down = sum(end - start for start, end in timeline.episodes("flaky"))
@@ -82,18 +78,6 @@ class TestTimeline:
                               kind=KIND_CORE_LOSS, severity=0.5),
         ]
         return FaultTimeline(specs, horizon_s=10.0)
-
-    def test_active_filters_by_target_and_kind(self):
-        tl = self._timeline()
-        assert len(tl.active(1.6)) == 3
-        assert len(tl.active(1.6, target="accel")) == 2
-        assert len(tl.active(1.6, target="accel", kind=KIND_OUTAGE)) == 1
-        assert tl.active(9.0) == []
-
-    def test_severity_default_and_max(self):
-        tl = self._timeline()
-        assert tl.severity(1.6, "accel", KIND_DEGRADE, default=1.0) == 2.5
-        assert tl.severity(0.1, "accel", KIND_DEGRADE, default=1.0) == 1.0
 
     def test_active_mask_vectorized(self):
         tl = self._timeline()

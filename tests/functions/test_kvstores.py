@@ -41,13 +41,6 @@ class TestKeyValueStore:
         assert value is None
         assert store.stats.misses == 1
 
-    def test_delete(self):
-        store = KeyValueStore()
-        store.set(b"k", b"v")
-        removed, _ = store.delete(b"k")
-        assert removed
-        assert len(store) == 0
-
     def test_ttl_expiry(self):
         store = KeyValueStore()
         store.set(b"k", b"v", now=0.0, ttl=10.0)
@@ -81,12 +74,6 @@ class TestKeyValueStore:
         store.execute(encode_command(b"SET", b"k", b"v", b"EX", b"5"), now=0.0)
         value, _ = store.get(b"k", now=10.0)
         assert value is None
-
-    def test_execute_del(self):
-        store = KeyValueStore()
-        store.set(b"k", b"v")
-        response, _ = store.execute(encode_command(b"DEL", b"k"))
-        assert response == b":1\r\n"
 
     def test_execute_unknown_verb(self):
         store = KeyValueStore()

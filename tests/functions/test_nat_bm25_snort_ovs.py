@@ -153,10 +153,10 @@ class TestOvs:
         datapath = ESwitchDatapath(table)
         path, work = datapath.process(self._key())
         assert path == "software"
-        assert work.total() > 0
+        assert any(count > 0 for _, count in work.items())
         path, work = datapath.process(self._key())
         assert path == "hardware"
-        assert work.total() == 0  # bump-in-the-wire: zero CPU work
+        assert all(count == 0 for _, count in work.items())  # bump-in-the-wire
 
     def test_hardware_fraction_grows_with_locality(self):
         table = FlowTable()

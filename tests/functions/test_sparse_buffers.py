@@ -109,7 +109,6 @@ class TestSparseRamDisk:
 
     def test_geometry_is_nominal(self):
         disk = RamDisk(64 << 20)
-        assert disk.capacity_bytes == 64 << 20
         assert disk.block_count == (64 << 20) // 4096
         assert disk.read(disk.block_count - 1, 1) == bytes(4096)
         with pytest.raises(StorageError):

@@ -1,5 +1,4 @@
-"""Tests for the TCP state machine: handshake, transfer, loss recovery,
-teardown."""
+"""Tests for the TCP state machine: handshake, transfer, loss recovery."""
 
 import numpy as np
 import pytest
@@ -110,37 +109,6 @@ class TestTransfer:
         connection, received = transfer(sim, a, b, data, until=120.0)
         assert received == [data]
         assert connection.retransmissions > 0
-
-
-class TestTeardown:
-    def test_fin_exchange_closes_both(self):
-        sim = Simulator()
-        a, b = make_pair(sim)
-        listener = b.listen(80)
-        connection = a.connect(40000, ip(10, 0, 0, 2), 80)
-        states = {}
-
-        def server():
-            conn = yield listener.accept()
-            yield conn.established()
-            yield conn.recv(4)
-            conn.close()  # passive close after active side's FIN arrives
-            yield conn.closed()
-            states["server"] = conn.state
-
-        def client():
-            yield connection.established()
-            connection.send(b"data")
-            yield sim.timeout(0.1)
-            connection.close()
-            yield connection.closed()
-            states["client"] = connection.state
-
-        sim.process(server())
-        sim.process(client())
-        sim.run(until=5.0)
-        assert states.get("client") is TcpState.CLOSED
-        assert states.get("server") is TcpState.CLOSED
 
 
 class TestRequestResponse:

@@ -37,11 +37,11 @@ class TestCounterGauge:
         assert reg.counter("c").value == 5
         assert reg.counter_values() == {"c": 5}
 
-    def test_gauge_set_add_and_updates(self):
+    def test_gauge_set_and_updates(self):
         reg = MetricRegistry()
         gauge = reg.gauge("g")
         gauge.set(2.5)
-        gauge.add(-0.5)
+        gauge.set(2.0)
         assert gauge.value == 2.0
         assert gauge.updates == 2
 
@@ -132,7 +132,7 @@ class TestDeltaMergeDeterminism:
         worker_values = [(0.05, 0.3), (1.7, 0.0001, 2.2), (12.5,)]
         serial = self._serial(worker_values)
         merged = self._merged(worker_values)
-        s_hist, m_hist = serial.get("wall"), merged.get("wall")
+        s_hist, m_hist = serial.histogram("wall"), merged.histogram("wall")
         assert m_hist.counts == s_hist.counts
         assert m_hist.sum == s_hist.sum  # bitwise: same observation order
         assert m_hist.quantile(0.99) == s_hist.quantile(0.99)
@@ -188,7 +188,7 @@ def _observing_unit(index):
     for value in (0.01 * (index + 1), 0.5 + index, 5.0 * index):
         hist.observe(value)
     metrics.counter("test.units").inc()
-    metrics.gauge("test.last_index").set(index)
+    metrics.registry().gauge("test.last_index").set(index)
     return index
 
 
@@ -242,7 +242,7 @@ class TestExecutorIntegration:
     def test_summary_line_counts_kinds(self):
         metrics.reset()
         metrics.counter("a").inc()
-        metrics.gauge("b").set(1)
+        metrics.registry().gauge("b").set(1)
         metrics.histogram("c", buckets=(1.0,)).observe(0.1)
         assert metrics.summary_line() == (
             "metrics: 1 counters / 1 gauges / 1 histograms")

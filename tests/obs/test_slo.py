@@ -79,8 +79,8 @@ class TestObserve:
         registry = metrics.registry()
         assert registry.counter(slo.EVALUATED).value == 2
         assert registry.counter(slo.BREACHES).value == 1
-        gauge = registry.get("slo.fig4.udp64_throughput_ratio")
-        assert gauge is not None and gauge.value == pytest.approx(0.9)
+        gauge = registry.gauge("slo.fig4.udp64_throughput_ratio")
+        assert gauge.updates == 1 and gauge.value == pytest.approx(0.9)
 
     def test_breach_logs_warning_at_default_tier(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.slo"):

@@ -2,7 +2,9 @@
 
 A warm pytest process has already imported most of the program, so a
 verb that forgot an import still passes in-process.  Every test here
-starts a new interpreter instead.
+starts a new interpreter instead.  The verb runs are the recorded ones
+of ``tests/conftest.py``, which the execution gate in
+``tests/test_module_graph.py`` reads too.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from repro.analysis.export import ARTIFACT_SCHEMA, validate_artifact
 from repro.experiments import registry
 from repro.runfarm.manifest import RunManifest
+from tests.conftest import verb_run
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
@@ -43,12 +46,11 @@ finally:
 """
 
 
-def _fresh(*argv: str, code: str = "") -> subprocess.CompletedProcess:
+def _fresh(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
-    if code:
-        argv = ("-c", _PROBE, code)
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=300)
+    return subprocess.run([sys.executable, "-c", _PROBE, code],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=300)
 
 
 def _loaded(proc: subprocess.CompletedProcess) -> set:
@@ -119,10 +121,8 @@ def test_status_reads_the_manifest_without_the_simulator(tmp_path):
 
 
 @pytest.mark.parametrize("name", [name for name, _m, _t in registry.TABLE])
-def test_verb_runs_in_a_fresh_process(name, tmp_path):
-    path = tmp_path / f"{name}.json"
-    proc = _fresh("-m", "repro", "--samples", "20", "--requests", "600",
-                  name, "--smoke", "--json", str(path))
+def test_verb_runs_in_a_fresh_process(name, fresh_runs):
+    proc, path = verb_run(fresh_runs, name)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
     doc = json.loads(path.read_text())

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.cluster import fabric
 from repro.obs import metrics as obs_metrics
 
@@ -38,14 +37,6 @@ PINNED_COUNTERS = {
     fabric.M_MARKED: 419,
     fabric.M_DROPPED: 182,
 }
-
-
-@pytest.fixture(scope="module")
-def hybrid_report(tmp_path_factory):
-    target = tmp_path_factory.mktemp("report") / "report.md"
-    status = main(["report", "-o", str(target)])
-    counters = obs_metrics.registry().counter_values()
-    return status, target.read_text(), counters
 
 
 def test_experiments_md_is_the_report_output(hybrid_report, capsys):

@@ -6,16 +6,15 @@ engine: one in-process ``--engine sim report`` whose output must hash to
 the committed digest and still read O1-O5 HOLDS, and whose counters
 must repeat exactly.  Counts are deterministic, so any change to them —
 a probe more or less, a rung stopped early or not — is deliberate and
-updates the pins here together with CHANGES.md.
+updates the pins here together with CHANGES.md.  The run is the
+session's ``sim_report`` fixture (tests/conftest.py).
 """
 
 import hashlib
 
 import pytest
 
-from repro.cli import main
 from repro.cluster import fabric
-from repro.core import hybrid
 from repro.obs import metrics as obs_metrics
 
 # sha256 of `python -m repro --engine sim report -o FILE` (with the
@@ -36,21 +35,6 @@ PINNED_COUNTERS = {
     fabric.M_MARKED: 419,
     fabric.M_DROPPED: 182,
 }
-
-
-@pytest.fixture(scope="module")
-def sim_report(tmp_path_factory):
-    target = tmp_path_factory.mktemp("sim-report") / "report.md"
-    # main() switches the process-wide engine; restore it for the tests
-    # that run after this module.
-    previous = hybrid.configure_engine(None)
-    try:
-        status = main(["--engine", "sim", "--jobs", "1", "report",
-                       "-o", str(target)])
-    finally:
-        hybrid.configure_engine(previous)
-    counters = obs_metrics.registry().counter_values()
-    return status, target.read_bytes(), counters
 
 
 def test_output_matches_committed_digest(sim_report):

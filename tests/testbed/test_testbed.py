@@ -53,14 +53,6 @@ class TestPcieLink:
         with pytest.raises(ValueError):
             link.transfer(-1)
 
-    def test_utilization_accounting(self):
-        sim = Simulator()
-        link = PcieLink(sim, BLUEFIELD2.pcie)
-        link.transfer(1 << 26)
-        sim.run()
-        assert 0.0 < link.utilization() <= 1.0
-
-
 class TestESwitch:
     def test_on_path_steers_everything_to_snic(self):
         sim = Simulator()
@@ -137,7 +129,7 @@ class TestSnicServer:
         server = SnicServer(sim, reply_all, consume_all)
         measurement = run_udp_echo_measurement(sim, server, "snic", 50, 20e-6)
         sim.run()
-        assert measurement.latencies.count == 50
+        assert measurement.throughput.requests == 50
         assert 2e-6 < measurement.latencies.mean() < 20e-6
 
     def test_host_path_slower_than_snic_path(self):
@@ -180,7 +172,8 @@ class TestSnicServer:
                             snic_service_s=50e-6, snic_cores=1)
         measurement = run_udp_echo_measurement(sim, server, "snic", 20, 1e-6)
         sim.run()
-        assert measurement.latencies.max() > 10 * measurement.latencies.percentile(1)
+        assert (measurement.latencies.percentile(100)
+                > 10 * measurement.latencies.percentile(1))
 
     def test_invalid_serve_on(self):
         sim = Simulator()

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from repro.workloads import pktgen
 
 
+def _offered_gbps(sample):
+    return float(sample.sizes.sum()) * 8 / sample.arrivals[-1] / 1e9
+
+
 class TestConstantSizeStream:
     def test_offered_rate_matches(self):
         rng = np.random.default_rng(0)
         sample = pktgen.constant_size_stream(1e6, 512, 20_000, rng)
-        measured = len(sample) / sample.duration
+        measured = len(sample.arrivals) / sample.arrivals[-1]
         assert measured == pytest.approx(1e6, rel=0.05)
 
     def test_paced_arrivals_are_uniform(self):
@@ -31,7 +35,7 @@ class TestConstantSizeStream:
     def test_gbps_stream_hits_target(self):
         rng = np.random.default_rng(1)
         sample = pktgen.gbps_stream(10.0, 1024, 20_000, rng)
-        assert sample.offered_gbps() == pytest.approx(10.0, rel=0.05)
+        assert _offered_gbps(sample) == pytest.approx(10.0, rel=0.05)
 
 
 class TestPcapMix:
@@ -48,7 +52,7 @@ class TestPcapMix:
     def test_target_rate(self):
         rng = np.random.default_rng(3)
         sample = pktgen.pcap_mix_stream(20.0, 50_000, rng)
-        assert sample.offered_gbps() == pytest.approx(20.0, rel=0.08)
+        assert _offered_gbps(sample) == pytest.approx(20.0, rel=0.08)
 
 
 class TestPayloadStream:
