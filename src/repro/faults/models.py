@@ -37,9 +37,9 @@ class SnicHealth:
         """Vectorized ``(available, service_factor, unavailable_until)``.
 
         Per-packet simulators precompute health for a whole arrival
-        vector at once.  ``service_factor`` is ``inf`` wherever the path is down
-        (callers never read it there); ``unavailable_until`` equals the
-        timestamp itself wherever the path is up.
+        vector at once.  ``service_factor`` is ``inf`` wherever the path
+        is down (callers never read it there); ``unavailable_until``
+        equals the timestamp itself wherever the path is up.
         """
         times = np.asarray(times, dtype=float)
         n = len(times)

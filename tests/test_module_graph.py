@@ -6,9 +6,10 @@ under:
 
 - every registry verb at ``--smoke`` with ``--json``, each in a fresh
   process, with the ``--csv``, ``--metrics-out``/``--metrics-interval``,
-  ``--trace`` and ``--jobs 2 --run-dir`` paths folded into them;
-- ``--resume`` of that run directory, ``status`` and ``status --json``
-  on it, and ``trace fig7 --smoke``;
+  ``--trace`` and ``--run-dir`` paths folded into them;
+- a supervised ``--jobs 2`` traced ``report --smoke``, whose forked
+  workers record themselves; ``--resume`` of the cluster run directory,
+  ``status`` and ``status --json`` on it, and ``trace fig7 --smoke``;
 - the default ``report`` in-process under both engines (the golden
   tests' own runs).
 
@@ -29,8 +30,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import pytest
 
-from tests.conftest import EXTRA_RUNS, SRC, CodeKey
 from repro.experiments import registry
+from tests.conftest import EXTRA_RUNS, SRC, CodeKey
 
 # Kinds of ALLOWED_UNEXECUTED entry.  Only a WORKER entry may also run:
 # whether worker-side code runs depends on the core count and on the
@@ -236,30 +237,33 @@ def unexecuted(sources: Dict[str, Tuple[str, str]], executed: Set[CodeKey],
     every code object that ran; ``allowed`` maps a qualified name to
     (kind, reason).
     """
-    found = {d.qualname: d for module, (path, source) in sources.items()
-             for d in definitions(module, path, source)}
+    # A list, not a dict: a property's getter and setter share a name.
+    found = [d for module, (path, source) in sources.items()
+             for d in definitions(module, path, source)]
     bodies = {path for path, _line, name in executed if name == "<module>"}
-    ran = {q for q, d in found.items()
+    ran = {d for d in found
            if (d.path in bodies if d.parent is None
                else (d.path, d.line, d.name) in executed)}
+    ran_names = {d.qualname for d in ran}
     failures = []
     covered: Set[str] = set()
     for entry, (kind, reason) in sorted(allowed.items()):
         if not reason.strip():
             failures.append(f"{entry}: allowlisted without a reason")
-        names = {q for q in found if q == entry or q.startswith(entry + ".")}
+        names = {d.qualname for d in found if d.qualname == entry
+                 or d.qualname.startswith(entry + ".")}
         if not names:
             failures.append(f"{entry}: allowlisted but no longer defined")
-        elif kind != WORKER and names & ran:
-            failures.append(f"{entry}: ran ({sorted(names & ran)[0]}); "
+        elif kind != WORKER and names & ran_names:
+            failures.append(f"{entry}: ran ({sorted(names & ran_names)[0]}); "
                             "drop it from the allowlist")
         covered |= names
-    for qualname, d in found.items():
-        if (qualname in ran or qualname in covered or _is_dunder(d.name)
+    for d in found:
+        if (d in ran or d.qualname in covered or _is_dunder(d.name)
                 # the enclosing scope that never ran is reported instead
-                or (d.parent is not None and d.parent not in ran)):
+                or (d.parent is not None and d.parent not in ran_names)):
             continue
-        failures.append(f"{qualname} ({d.path}:{d.line or 1}) never ran")
+        failures.append(f"{d.qualname} ({d.path}:{d.line or 1}) never ran")
     return failures
 
 
@@ -317,6 +321,16 @@ def outer():
     def nested_never():
         return 6
     return 7
+
+
+class Gauge:
+    @property
+    def level(self):
+        return 8
+
+    @level.setter
+    def level(self, value):
+        self._level = value
 '''
 
 
@@ -343,7 +357,8 @@ def _run_synthetic(calls: str) -> Set[CodeKey]:
 
 
 _ALL_CALLS = ("called(); never(); Box().used(); Box().unused(); "
-              "decorated(); outer()")
+              "decorated(); outer(); gauge = Gauge(); gauge.level = 9; "
+              "gauge.level")
 
 
 def _gate(executed, allowed=None):
@@ -381,6 +396,11 @@ class TestGate:
         missing = _gate(_run_synthetic(
             _ALL_CALLS.replace("decorated(); ", "")))
         assert "pkg.mod.decorated (synthetic.py:22) never ran" in missing
+
+    def test_a_getter_is_checked_apart_from_its_setter(self):
+        failures = _gate(_run_synthetic(
+            _ALL_CALLS.removesuffix("; gauge.level")))
+        assert "pkg.mod.Gauge.level (synthetic.py:35) never ran" in failures
 
     def test_a_module_body_that_never_ran_stands_for_its_defs(self):
         assert _gate(set()) == ["pkg.mod (synthetic.py:1) never ran"]
