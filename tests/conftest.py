@@ -23,6 +23,7 @@ import cProfile
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -110,7 +111,8 @@ EXTRA_RUNS: Dict[str, Tuple[str, ...]] = {
 # These read the cluster run's directory, so they run after it.
 _AFTER_CLUSTER = ("resume", "status", "status-json")
 
-_TIMEOUT_S = 300.0  # a recorded process still running after this is killed
+# A test waiting this long on a recorded process kills the ones running.
+_TIMEOUT_S = 300.0
 
 Run = Tuple[str, Tuple[str, ...]]  # (label, argv after ``-m repro``)
 
@@ -119,6 +121,12 @@ def _verb_args(name: str) -> Tuple[str, ...]:
     """One verb at ``--smoke`` with ``--json`` and its extra flags."""
     return ("--samples", "20", "--requests", "600", *VERB_FLAGS.get(name, ()),
             name, "--smoke", "--json", "{dir}/" + name + ".json")
+
+
+def _kill(proc: subprocess.Popen) -> None:
+    """Kill a recorded process with the workers it forked."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
 
 
 def _key(path: str, line: int, name: str) -> CodeKey:
@@ -138,9 +146,11 @@ class ExecutionRecord:
         (workdir / "out").mkdir()
         self.ran: Set[CodeKey] = set()
         self.reported = False  # has an in-process report run yet?
+        # The environment before any test runs: a test may set variables
+        # (chaos injection, say) while the queue advances.
+        self._env = dict(os.environ, PYTHONPATH=str(SRC))
         self._queue: Optional[List[List[Run]]] = None  # chains, run in order
-        self._running: Dict[str, Tuple[subprocess.Popen, float,
-                                       List[Run]]] = {}
+        self._running: Dict[str, Tuple[subprocess.Popen, List[Run]]] = {}
         self._done: Dict[str, subprocess.CompletedProcess] = {}
 
     @contextlib.contextmanager
@@ -176,26 +186,23 @@ class ExecutionRecord:
 
     def _launch(self, label: str, args: Tuple[str, ...]) -> subprocess.Popen:
         out = self.workdir / "out" / label
-        env = dict(os.environ, PYTHONPATH=str(SRC))
         with open(f"{out}.stdout", "w") as stdout, \
                 open(f"{out}.stderr", "w") as stderr:
             proc = subprocess.Popen(
                 [sys.executable, "-c", _TRACED,
                  str(self.workdir / "ran" / label), str(PACKAGE),
                  *(arg.format(dir=self.workdir) for arg in args)],
-                stdout=stdout, stderr=stderr, env=env, cwd=self.workdir)
+                stdout=stdout, stderr=stderr, env=self._env,
+                cwd=self.workdir, start_new_session=True)
         # Lowest priority: the suite's own tests keep their core.
         os.setpriority(os.PRIO_PROCESS, proc.pid, 19)
         return proc
 
     def pump(self, width: int = 1) -> None:
         """Collect finished processes; keep ``width`` of them running."""
-        for label, (proc, started, rest) in list(self._running.items()):
+        for label, (proc, rest) in list(self._running.items()):
             if proc.poll() is None:
-                if time.monotonic() - started < _TIMEOUT_S:
-                    continue
-                proc.kill()
-                proc.wait()
+                continue
             del self._running[label]
             out = self.workdir / "out" / label
             self._done[label] = subprocess.CompletedProcess(
@@ -206,21 +213,26 @@ class ExecutionRecord:
                 self._queue.insert(0, rest)
         while self._queue and len(self._running) < width:
             (label, args), *rest = self._queue.pop(0)
-            self._running[label] = (self._launch(label, args),
-                                    time.monotonic(), rest)
+            self._running[label] = (self._launch(label, args), rest)
 
     def result(self, label: str) -> subprocess.CompletedProcess:
         """The finished recorded process ``label``, waiting for it."""
         self.start()
+        deadline = time.monotonic() + _TIMEOUT_S
         while label not in self._done:
             self.pump(width=2)
-            if label not in self._done:
-                time.sleep(0.01)
+            if label in self._done:
+                break
+            if time.monotonic() > deadline:
+                for proc, _rest in self._running.values():
+                    _kill(proc)  # collected as failed by the next pump
+                deadline = time.monotonic() + _TIMEOUT_S
+            time.sleep(0.01)
         return self._done[label]
 
     def close(self) -> None:
-        for proc, _started, _rest in self._running.values():
-            proc.kill()
+        for proc, _rest in self._running.values():
+            _kill(proc)
             proc.wait()
         self._running.clear()
         self._queue = []
