@@ -20,12 +20,25 @@ comprehensions are not checked, and dunders are exempt (the interpreter
 calls them).  A module ran when its body did.  What never ran is code no
 verb needs: delete it, or list it in ``ALLOWED_UNEXECUTED`` with its
 reason.  An entry covers the definitions nested in what it names.
+
+Two static gates read only the source, so they fail in seconds, before
+any verb has run.  *Modules*: every module must be reachable from a verb
+by following ``import`` statements, lazy ones inside function bodies
+too, from ``repro.cli``, ``repro.__main__`` and the registry's module
+column; importing a module also runs its parent packages' ``__init__``.
+*Definitions*: every top-level function and class, and every method of
+a top-level class, must be named by code that is itself used: as a bare
+name, an attribute or a string constant.  Names match by spelling alone,
+so these gates miss dead code the execution gate finds, but they never
+flag live code.  What they let stay is listed in ``UNIMPORTED`` and
+``UNREFERENCED``; its reason is its ``ALLOWED_UNEXECUTED`` entry.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import pytest
@@ -189,6 +202,202 @@ def test_no_package_init_imports_anything():
     assert not importing, (
         "package __init__ modules re-export again; import each name from "
         f"its defining module instead: {importing}")
+
+
+# -- the static gates ---------------------------------------------------------
+
+# Modules no import statement reaches from a verb.
+UNIMPORTED = ("repro.hardware.memmodel",)
+
+# Definitions nothing used in src/repro names.  Their bodies' names count
+# as uses.
+UNREFERENCED = (
+    "repro.core.queueing.lindley_waits_reference",
+    "repro.core.queueing.simulate_batch_server_reference",
+    "repro.core.queueing.QueueOutcome.component_residual",
+    "repro.functions.crypto.aes.decrypt_block",
+    "repro.functions.compression.deflate.decompress",
+    "repro.functions.compression.lz77.decompress",
+    "repro.hardware.memmodel",
+    "repro.analysis.export.validate_artifact",
+    "repro.obs.openmetrics.parse_openmetrics",
+    "repro.core.analytic.mmc_wait_mean",
+    "repro.experiments.measurement.sweep_operating_rate",
+    "repro.offload.loadbalancer.simulate_balancer",
+    "repro.experiments.registry.load_all",
+)
+
+
+def _imports(tree: ast.AST, package: str, modules: Set[str]) -> Iterator[str]:
+    """Every module the import statements anywhere under ``tree`` load.
+
+    ``package`` is the package relative imports resolve against.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = parts[:len(parts) - node.level + 1]
+                target = ".".join(base + ([node.module] if node.module
+                                          else []))
+            yield target
+            for alias in node.names:
+                if f"{target}.{alias.name}" in modules:
+                    yield f"{target}.{alias.name}"
+
+
+def _package_of(name: str, path: str) -> str:
+    return name if path.endswith("__init__.py") else name.rpartition(".")[0]
+
+
+def _reachable(files: Dict[str, str]) -> Set[str]:
+    modules = set(files)
+    stack = ["repro.cli", "repro.__main__",
+             *(module for _name, module, _title in registry.TABLE)]
+    seen: Set[str] = set()
+    while stack:
+        name = stack.pop()
+        # Importing a.b.c runs a/__init__ and a/b/__init__ first.
+        parts = name.split(".")
+        for depth in range(1, len(parts) + 1):
+            module = ".".join(parts[:depth])
+            if module in modules and module not in seen:
+                seen.add(module)
+                stack.extend(_imports(_parse(files[module]),
+                                      _package_of(module, files[module]),
+                                      modules))
+    return seen
+
+
+def test_every_module_is_reached_from_a_verb():
+    files = _module_files()
+    reached = _reachable(files)
+    orphans = sorted(set(files) - reached - set(UNIMPORTED))
+    assert not orphans, (
+        "modules no verb reaches (delete them, or list one in UNIMPORTED "
+        f"and ALLOWED_UNEXECUTED with a reason): {orphans}")
+    for name in UNIMPORTED:
+        assert name in ALLOWED_UNEXECUTED, f"{name} has no reason"
+        assert name in files, f"allowlisted {name} no longer exists"
+        assert name not in reached, (
+            f"{name} is reached now; drop it from UNIMPORTED")
+
+
+_DOTTED = re.compile(r"[A-Za-z_][\w]*(?:[.:][A-Za-z_]\w*)*")
+
+
+class _Named(NamedTuple):
+    key: str               # module.qualname
+    name: str
+    parent: Optional[str]  # the class key, for a method
+
+
+def _names_in(node: ast.AST) -> Iterator[str]:
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+              and _DOTTED.fullmatch(child.value)):
+            yield from re.split(r"[.:]", child.value)
+
+
+def _is_all(stmt: ast.stmt) -> bool:
+    return (isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in stmt.targets))
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _index(files: Dict[str, str]) -> Tuple[Dict[str, _Named],
+                                           List[Tuple[str, Optional[str]]]]:
+    """Every checked definition, and every (name, owner key) reference.
+
+    A reference's owner is the innermost checked definition containing
+    it, or ``None`` at module level (always live).
+    """
+    named: Dict[str, _Named] = {}
+    references: List[Tuple[str, Optional[str]]] = []
+    for module, path in files.items():
+        for stmt in _parse(path).body:
+            if _is_all(stmt):
+                continue
+            if not isinstance(stmt, _DEFS):
+                references.extend((n, None) for n in _names_in(stmt))
+                continue
+            key = f"{module}.{stmt.name}"
+            named[key] = _Named(key, stmt.name, None)
+            if not isinstance(stmt, ast.ClassDef):
+                references.extend((n, key) for n in _names_in(stmt))
+                continue
+            for part in (*stmt.decorator_list, *stmt.bases, *stmt.keywords):
+                references.extend((n, key) for n in _names_in(part))
+            for member in stmt.body:
+                owner = key
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner = f"{key}.{member.name}"
+                    named[owner] = _Named(owner, member.name, key)
+                references.extend((n, owner) for n in _names_in(member))
+    return named, references
+
+
+def _live(named: Dict[str, _Named],
+          references: List[Tuple[str, Optional[str]]],
+          roots: Set[str]) -> Set[str]:
+    """Keys of the definitions used from module level or a live owner."""
+    by_name: Dict[str, List[Optional[str]]] = {}
+    for name, owner in references:
+        by_name.setdefault(name, []).append(owner)
+
+    def rooted(d: _Named) -> bool:
+        return (_is_dunder(d.name) or d.key in roots
+                or d.key.rpartition(".")[0] in roots
+                or (d.parent is not None
+                    and d.parent.rpartition(".")[0] in roots))
+
+    live = {key for key, d in named.items() if rooted(d)}
+    changed = True
+    while changed:
+        changed = False
+        for key, d in named.items():
+            if key in live:
+                continue
+            for owner in by_name.get(d.name, ()):
+                if owner is None or (owner in live and owner != key
+                                     and named[owner].parent != key
+                                     and (named[owner].parent is None
+                                          or named[owner].parent in live)):
+                    live.add(key)
+                    changed = True
+                    break
+    return live
+
+
+def test_every_definition_is_referenced():
+    named, references = _index(_module_files())
+    roots = set(UNREFERENCED)
+    live = _live(named, references, roots)
+    # A dead class stands for its methods.
+    dead = sorted(key for key, d in named.items() if key not in live
+                  and (d.parent is None or d.parent in live))
+    assert not dead, (
+        "definitions nothing in src/repro uses (delete them, or list one "
+        f"in UNREFERENCED and ALLOWED_UNEXECUTED with a reason): {dead}")
+    for entry in UNREFERENCED:
+        assert entry in ALLOWED_UNEXECUTED, f"{entry} has no reason"
+        covered = [key for key in named
+                   if key == entry or key.startswith(entry + ".")]
+        assert covered, f"allowlisted {entry} no longer exists"
+        without = _live(named, references, roots - {entry})
+        assert not set(covered) <= without, (
+            f"{entry} is used now; drop it from UNREFERENCED")
 
 
 # -- the execution gate ---------------------------------------------------------
