@@ -305,8 +305,6 @@ def _add_fixed_latency(outcome, profile, platform, rng):
         return outcome
     extra = np.zeros(n)
     stack = profile.stack
-    if platform == ACCEL_PLATFORM:
-        stack = profile.accel_staging_stack or profile.stack
     if stack is not None:
         calibration = PLATFORMS[platform] if platform != ACCEL_PLATFORM else PLATFORMS["snic-cpu"]
         cost = calibration.stacks[stack]
@@ -333,7 +331,7 @@ def _run_accelerator(
     # Staging: SNIC CPU cores feed the engine over DPDK (§3.4).  They cap
     # the submission rate but their per-packet time is tiny.
     staging_cap = float("inf")
-    staging_stack = profile.accel_staging_stack or profile.stack
+    staging_stack = profile.stack
     if staging_stack is not None:
         snic = PLATFORMS["snic-cpu"]
         staging_per_packet = snic.stack_seconds(staging_stack, int(profile.wire_bytes))
@@ -377,8 +375,6 @@ def _cpu_queue_limit(
 def _stack_rtt_floor(profile: FunctionProfile, platform: str) -> tuple:
     """(mean, p99) of the fixed stack-RTT + latency-extra floor."""
     stack = profile.stack
-    if platform == ACCEL_PLATFORM:
-        stack = profile.accel_staging_stack or profile.stack
     adder = profile.latency_extra.get(platform, 0.0)
     if stack is None:
         return adder, adder
@@ -515,8 +511,6 @@ def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
     """
     extra = np.zeros(n_requests)
     stack = profile.stack
-    if platform == ACCEL_PLATFORM:
-        stack = profile.accel_staging_stack or profile.stack
     if stack is not None:
         calibration = (PLATFORMS[platform] if platform != ACCEL_PLATFORM
                        else PLATFORMS["snic-cpu"])
@@ -526,7 +520,7 @@ def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
 
 def _staging_cap_rps(profile: FunctionProfile) -> float:
     staging_cap = float("inf")
-    staging_stack = profile.accel_staging_stack or profile.stack
+    staging_stack = profile.stack
     if staging_stack is not None:
         snic = PLATFORMS["snic-cpu"]
         staging_per_packet = snic.stack_seconds(
@@ -1239,7 +1233,7 @@ def component_load(
         utilization = min(completed_rate * per_item, 1.0)
         engine = ACCELERATORS[profile.accel_engine]
         staging_util = 0.0
-        staging_stack = profile.accel_staging_stack or profile.stack
+        staging_stack = profile.stack
         if staging_stack is not None:
             snic = PLATFORMS["snic-cpu"]
             staging_per_packet = snic.stack_seconds(

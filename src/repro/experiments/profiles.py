@@ -55,9 +55,6 @@ class FunctionProfile:
     accel_engine: Optional[str] = None
     accel_mode: Optional[str] = None
     accel_op_based: bool = False
-    # the stack of the cores staging work for the engine, when it is not
-    # ``stack``; no profile sets it today
-    accel_staging_stack: Optional[str] = None
     # per-platform core counts (default: all 8)
     cores: Dict[str, int] = field(default_factory=dict)
     # per-platform fixed latency adders (e.g. fio's device path asymmetry)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.cache import ResultCache, configure, get_cache
+from repro.core.executor import ParallelExecutor
 from repro.core.rng import RandomStreams
 from repro.experiments.faults import (
     ALL_SCENARIOS,
@@ -14,6 +16,8 @@ from repro.experiments.faults import (
 from repro.experiments.fig4 import snic_platform_for
 from repro.experiments.measurement import measure_operating_point
 from repro.experiments.profiles import get_profile
+from repro.obs import metrics
+from repro.offload.loadbalancer import M_SCALAR_PACKETS
 
 SAMPLES = 40
 REQUESTS = 2_000
@@ -129,3 +133,28 @@ class TestStudy:
         for scenario in ("no-fault", *ALL_SCENARIOS):
             assert scenario in text
         assert "avail" in text and "recover ms" in text
+
+
+def test_scalar_packet_count_is_the_same_at_any_jobs():
+    # The balancer's scalar-loop count is pinned for the default report;
+    # counted in forked workers, it must merge to the serial run's value.
+    counts = []
+    previous = get_cache()
+    try:
+        for jobs in (1, 2):
+            configure(ResultCache())  # cold: every unit runs its balancer
+            executor = ParallelExecutor(jobs, serial_bypass=False)
+            before = metrics.snapshot()
+            try:
+                run_faults_study(functions=("redis:a", "compression:app"),
+                                 samples=SAMPLES, n_requests=REQUESTS,
+                                 n_packets=PACKETS,
+                                 streams=RandomStreams(2023),
+                                 executor=executor)
+            finally:
+                executor.close()
+            counts.append(metrics.counter_delta(metrics.delta_since(before),
+                                                M_SCALAR_PACKETS))
+    finally:
+        configure(previous)
+    assert counts[0] == counts[1] > 0

@@ -52,70 +52,70 @@ def profile_digest(profile) -> str:
 
 
 PROFILE_SHA256 = {
-    ("udp:64", 8): "d77b4a48945bc79e0fdbef19b9f4c7628bb3ce524b11986ba26fa1fd403c76f5",
-    ("udp:64", 120): "d77b4a48945bc79e0fdbef19b9f4c7628bb3ce524b11986ba26fa1fd403c76f5",
-    ("udp:1024", 8): "a1a2f3017c4a5d0d89c02c88f4e06d07884f7a448bceb574152d4b7cfb1dd4a3",
-    ("udp:1024", 120): "a1a2f3017c4a5d0d89c02c88f4e06d07884f7a448bceb574152d4b7cfb1dd4a3",
-    ("dpdk:64", 8): "c35f35ce08ec4d27f8b4d88f687155ede6bf3f7de48fc95cd20c706a7f991138",
-    ("dpdk:64", 120): "c35f35ce08ec4d27f8b4d88f687155ede6bf3f7de48fc95cd20c706a7f991138",
-    ("dpdk:1024", 8): "d9552ada25231179dbf69c00365ab417a763a206ee1e396d1449ba96b03a2ac1",
-    ("dpdk:1024", 120): "d9552ada25231179dbf69c00365ab417a763a206ee1e396d1449ba96b03a2ac1",
-    ("rdma:1024", 8): "b491b6cde4a6a8d2d22ce58ffb83545ec7be4253e7ae88f9dd0a46e2e7b8a52e",
-    ("rdma:1024", 120): "b491b6cde4a6a8d2d22ce58ffb83545ec7be4253e7ae88f9dd0a46e2e7b8a52e",
-    ("redis:a", 8): "3c39014d41c2aea476494bd311d88fdaa002e1a5d01b11a99c32468a222eb1b3",
-    ("redis:a", 120): "89647e32d5a1c2b5961f637dfca3fa5c241385b361b14d622de27890b4e7491e",
-    ("redis:b", 8): "b09a31b92a1be8efc5a331d2587da090421b077c4cd936a8bd40f80e6d3cb809",
-    ("redis:b", 120): "2adc6d9fb50d0cf81d57ebd55685ce40055b1cabad37070441bac68f9067c996",
-    ("redis:c", 8): "86869ce6ed3829dfcde3d0e3b4f5b172862c302d22ce33238216536a08ecd5b9",
-    ("redis:c", 120): "0257f94085d98bac9f604489f043261f3683e904ff09b4153b86d4c1546b54d3",
-    ("snort:file_image", 8): "06bd6f1dd761bcfca6e6008c8967ce02cff6f7e0bca305b088097b8fef549b40",
-    ("snort:file_image", 120): "5aa0cea2aca295c088a7cae8ec76ef03c910fd5fa0ae7804b56f263764772f57",
-    ("snort:file_flash", 8): "18cb24ed19f6e7e4b138f94cab1f96042351535c35a606fae0061939d7b20ea0",
-    ("snort:file_flash", 120): "5cdeee8134120980459e869b4f4b42edc3d78787ec11ac60f8d677a31ecf1774",
-    ("snort:file_executable", 8): "0bb9ba0ce4ec0c89f42e343271daba92f9929f4ebeac93405c4c9a1fdd970790",
-    ("snort:file_executable", 120): "a29b1703229ae79a31c6d6e16de83fa0a974f72c876ecca8e4150ba953819a5d",
-    ("nat:10k", 8): "9425a22043cbd8cb8b7b2cc7dadb6fd974179053e787d0971a2e109d7c8357ca",
-    ("nat:10k", 120): "bdfbf371a0d374efe3eaf61db6b11573d7f2e377c7b0793a7c24fea83b334ec2",
-    ("nat:1m", 8): "6cb9298d39a11c288bf7e3e955402b8f465f471ee1511aa0627563125f983e9a",
-    ("nat:1m", 120): "c31977e1abc68b7c284d1b407c40df12de237e0668602bf88a3e003b5576dc4d",
-    ("bm25:100", 8): "71ba7b232169f6e6e9d4fbf5839a5bb06778a5f80b0145cba5ea0ec8cb6b339f",
-    ("bm25:100", 120): "39eaa6e232ccaebeb876b4208a9ca72811935155c9927da7503aa8b18bbe7ff8",
-    ("bm25:1k", 8): "70db855e7810117ea6805b86aa6e068639f5fd9d478fc710839ca40055ecc931",
-    ("bm25:1k", 120): "f022506dfef5a3d01a4ff5ed5740fb9b4a83d42856fda60b93316661d0e93ae7",
-    ("mica:4", 8): "8a97f41691ff6f131d2c8ec2af214632421ed7bd00801575aa07f766b6669349",
-    ("mica:4", 120): "8e0f55e27a2966d87da3dae382c844827aac356f348bbf5cb74a253f05b6fd11",
-    ("mica:32", 8): "d72ceab3bec184323e43f38bc0e4b5b8857a3c076579d823a97e729e694d3e97",
-    ("mica:32", 120): "3b381255165369ef450dac8f86d7423d53c9835b4423ae0dbf11e6f36da8ffa9",
-    ("fio:read", 8): "19bbe9c228d4c9cf29891189a555baf8450d4ad791aa0cf9982c6ac872d3c920",
-    ("fio:read", 120): "19bbe9c228d4c9cf29891189a555baf8450d4ad791aa0cf9982c6ac872d3c920",
-    ("fio:write", 8): "fd41e384dde2d2219b2f6b686bfffbeefa19f5c2e4957abb33396e86779ec813",
-    ("fio:write", 120): "fd41e384dde2d2219b2f6b686bfffbeefa19f5c2e4957abb33396e86779ec813",
-    ("crypto:aes", 8): "244600950c5f725a6e12d32ba36004d87bc3b89f7d4f43f72853a0801043695a",
-    ("crypto:aes", 120): "244600950c5f725a6e12d32ba36004d87bc3b89f7d4f43f72853a0801043695a",
-    ("crypto:rsa", 8): "3f5b8b3ba10988d185261e90216751413556a62edecb1a699b72f6e1a3845d2e",
-    ("crypto:rsa", 120): "3f5b8b3ba10988d185261e90216751413556a62edecb1a699b72f6e1a3845d2e",
-    ("crypto:sha1", 8): "13c95af1d22212feabbb6a9122483ee18e500163087fb78620fa16c675d94cf8",
-    ("crypto:sha1", 120): "13c95af1d22212feabbb6a9122483ee18e500163087fb78620fa16c675d94cf8",
-    ("rem:file_image", 8): "2c737c3e88cc6551102145a5b20f4a00df96ee3f473235163da55fe5531b2939",
-    ("rem:file_image", 120): "466163d4702612a900ba470b1d33be05cb7239545e245da7030492b8b7a16867",
-    ("rem:file_flash", 8): "e3c65fe75990355b75206f9f5c7a8e0b56535423aef596d06f8704e9e1e0b6d7",
-    ("rem:file_flash", 120): "9661020ca3f9a96543470d2a817fa0042f46c011d34389222d0d496c2239df55",
-    ("rem:file_executable", 8): "7f96e7f87f8ef2ace81fe12c7f6f6baec708b2cb57d3032b1d21230b2820cbb0",
-    ("rem:file_executable", 120): "4fa90fdd54f6c815c239a97f68cb39bb3d1e012ced1c0f8ecfe7a9e87841c476",
-    ("rem:file_image@mtu", 8): "c5cb520db65691987a7274543a321435b4014cc68e6c0572d8445a8fa56455c8",
-    ("rem:file_image@mtu", 120): "30acafa065364ce2de5397732f254725bba0472bb17f37b44d5ca546286b2549",
-    ("rem:file_flash@mtu", 8): "ea353028360ce135ec90e10c4466794e6ef984eb6fe6cd62fe2fede7077aebdd",
-    ("rem:file_flash@mtu", 120): "3896b296e8aa8e518ec6057cf5d35873cedf32c363232b36863105d440da7d83",
-    ("rem:file_executable@mtu", 8): "a6de0a573bf6ce3587d02ce37f4f5657e134736e33904662ddc58a55fd961019",
-    ("rem:file_executable@mtu", 120): "e532f444900da35a316bcf171b89ead610ec25120865769c915d54b3daad6cd6",
-    ("compression:app", 8): "3c3c8ff8688bf3b54282ed5ce3aecac7e95fc2c0401756a55672148174ecd6e4",
-    ("compression:app", 120): "feac193f02dcf770df27b2364058e87e5f42b14e8438780592f086c25e7b643d",
-    ("compression:txt", 8): "5e11fe055b48b382bacd6dedbe56ace4341c713b03f2e440beb2445686c422ff",
-    ("compression:txt", 120): "8910eb0348ea91f6a63c330bb9a1fd11e4af02c4ddd6d73d73de6f5ae75687d0",
-    ("ovs:10", 8): "41a9299f8977c4e726e7b430fc230f062d96996928dd24160d625fe9295994dc",
-    ("ovs:10", 120): "41a9299f8977c4e726e7b430fc230f062d96996928dd24160d625fe9295994dc",
-    ("ovs:100", 8): "9fe695b3092e1c249e11cf6cc3aef11a909825bf95304293423793e8ed399d42",
-    ("ovs:100", 120): "9fe695b3092e1c249e11cf6cc3aef11a909825bf95304293423793e8ed399d42",
+    ("udp:64", 8): "7644ced902eff0de8de1deab5d49d4b793db2362ec2f3b0eceabb8a773813ab1",
+    ("udp:64", 120): "7644ced902eff0de8de1deab5d49d4b793db2362ec2f3b0eceabb8a773813ab1",
+    ("udp:1024", 8): "4241faadcdde8bc290a83e6210b8dfa6be447e0ec8bd2f7fb1a1e2dbaf3d6dec",
+    ("udp:1024", 120): "4241faadcdde8bc290a83e6210b8dfa6be447e0ec8bd2f7fb1a1e2dbaf3d6dec",
+    ("dpdk:64", 8): "877b1e908d4a156395e77ffa9342703bac22a1c187daa45cf50f6a5a94b29e44",
+    ("dpdk:64", 120): "877b1e908d4a156395e77ffa9342703bac22a1c187daa45cf50f6a5a94b29e44",
+    ("dpdk:1024", 8): "ba96550da5e401a3bbf55e8f914cfffd96f8bbf85f6242e6c18f9efe6e91c2e8",
+    ("dpdk:1024", 120): "ba96550da5e401a3bbf55e8f914cfffd96f8bbf85f6242e6c18f9efe6e91c2e8",
+    ("rdma:1024", 8): "16ebc45bc4e31d4219c8fb83e685b143f0b9f2e96fa04c07f5169860e0074e07",
+    ("rdma:1024", 120): "16ebc45bc4e31d4219c8fb83e685b143f0b9f2e96fa04c07f5169860e0074e07",
+    ("redis:a", 8): "e166a698eda2fca988a427b24ab75181117ae96d2dafc09c5fec2a48836b65f7",
+    ("redis:a", 120): "0d33533411c9355496f7cc4ff67d460f0623944b7258edd2fc6859d0338f9bdf",
+    ("redis:b", 8): "cc0a58c332f87adbdeab33d1065ca9c577b4e172953b94fe46d7c8380c1bcc23",
+    ("redis:b", 120): "cc7f3d61aa69f3c5663920b8411c6aa3105d59b5cc92665b13c11d0db7ece86b",
+    ("redis:c", 8): "cc1200403c86a5923ec91e84ca19b18888a4dd7faaedf196dc9e508bce196e0e",
+    ("redis:c", 120): "7d131f951e6d3440202b1f286715ed3eb5c46f290818dd744bc41e9ad6f27096",
+    ("snort:file_image", 8): "e83ed6e73447dade0851ac410b364a00e1d1f764086ce34e842ad85800c3fd31",
+    ("snort:file_image", 120): "acc897686d3ff508d5cbc60cfd5730734f42bfc689486febfdce83c70a8a4cd6",
+    ("snort:file_flash", 8): "2353289c80f652ca34701e4fa96ae43a726aa04777659162ccb8b96885c9c549",
+    ("snort:file_flash", 120): "df9bc177ac8e96a682d08db2a1cf4b2a7cc0b1f00b14142c8757a195e979cace",
+    ("snort:file_executable", 8): "74c72aebbc82486310fb0f1b04839cdd3e46e888468078c3408f8f51bf4fbe88",
+    ("snort:file_executable", 120): "75372214484b9ba6b5bac1e36867bb2651380ab0257ea910f718e36fb4a681a6",
+    ("nat:10k", 8): "f43d34ee5ec248b66da1d35fcc4756e9496f4fcc79a600fc2be51c173a0b8a14",
+    ("nat:10k", 120): "cd1d9e2b3d99a935a8f115a76d3d423686188885d4fbcefedd459da011f0d1a4",
+    ("nat:1m", 8): "d65411cba6a0f75fd0e199b3d114b994c0971fb6cecac88c75be35ce6195f565",
+    ("nat:1m", 120): "73390c5e715cc4b81c0142b70fc5d4e34ec7bacfec67734ced2c6b16dadfc30c",
+    ("bm25:100", 8): "b75de098768d27bf79f20c9df9719ae99fc48508cd502b81155c81348edf7558",
+    ("bm25:100", 120): "74c24823002bcfc4d8e08e5293f0541441f6a19676d7690a0346855c9a0af8e4",
+    ("bm25:1k", 8): "8adfcb1e446433f74ee167c8a9a9254cfbff9c97e9f5895c74e3c537b2c5285e",
+    ("bm25:1k", 120): "217edd24fcb00e9b4ef595b08d27df9ae4662705d1245eb7274faafb6dc9989e",
+    ("mica:4", 8): "67436186240d8a2a511a3f1f48fd8592c109ceee80e4d6fcd2252cbfa1a9fff6",
+    ("mica:4", 120): "425148a74b09de7e80f0484505f4d76c3c43df2de4cad6111ed6fd6319af6bea",
+    ("mica:32", 8): "12bb16a4af40d3ab77c1be36670ffaa42117b8dc60f595e9c5c72bc212b06b94",
+    ("mica:32", 120): "29674ad9bcfb41e9ca4e3172954736802b286e2d547542c01f4216a1975bcf69",
+    ("fio:read", 8): "c5a414b7493ee848b1e0972af6221c1356d7366e752460f7885648a7b41af42e",
+    ("fio:read", 120): "c5a414b7493ee848b1e0972af6221c1356d7366e752460f7885648a7b41af42e",
+    ("fio:write", 8): "4d3c9a6d9c8cee0a3d3bc523a72c55182a903d32e9689148384dd6365391a6cb",
+    ("fio:write", 120): "4d3c9a6d9c8cee0a3d3bc523a72c55182a903d32e9689148384dd6365391a6cb",
+    ("crypto:aes", 8): "1f7eb1b8bb64ba10bf394c95e7cc2bb45fe9fbf9c228c9cebf59681b2429d24c",
+    ("crypto:aes", 120): "1f7eb1b8bb64ba10bf394c95e7cc2bb45fe9fbf9c228c9cebf59681b2429d24c",
+    ("crypto:rsa", 8): "b7de0aff816d35e0d43dbcec5f2ed830d3b29b7a762d9c646d0c3dd0825f6914",
+    ("crypto:rsa", 120): "b7de0aff816d35e0d43dbcec5f2ed830d3b29b7a762d9c646d0c3dd0825f6914",
+    ("crypto:sha1", 8): "0f53fb1ef36ac00af0ca229edcd3af2395c750746580605d0c916de5815661c3",
+    ("crypto:sha1", 120): "0f53fb1ef36ac00af0ca229edcd3af2395c750746580605d0c916de5815661c3",
+    ("rem:file_image", 8): "457bdfd2e1a6265e7c777847ad3f09f8af88e93258b360ca5994991f42a71753",
+    ("rem:file_image", 120): "dc6cd76a8aa57fddb41760a664a844b48d2c34cd1bbba584135cba3f870421f7",
+    ("rem:file_flash", 8): "24478931ce25ad599fd17796403905fc6adacfcd7568aacf526a396a37bb3053",
+    ("rem:file_flash", 120): "29ee43cf709d74245c46a1ac1de524d366177c740264dd33616e705604f53f4b",
+    ("rem:file_executable", 8): "009ad790f17ee2768377058c7e15e48b68900bde0ffaa20272f792a743c17d3c",
+    ("rem:file_executable", 120): "335a77e032e96ef321b0ed7734b9c87e1b6a6d8ab3618a2c672dbaf18a09dd4b",
+    ("rem:file_image@mtu", 8): "85391abe210f95fbdda25dee3c39733a8ef48da82d76f6f430a4f6b141a2fa0f",
+    ("rem:file_image@mtu", 120): "616e5b0aa10c37324903fa09c77afad4d0e27dbb3ec245d0bf0e4ebc4179fddd",
+    ("rem:file_flash@mtu", 8): "a8bcdcf20f13ca8511d22c069f0ce301530a2c1dbd1311b4d8c3d55bb8ed8ac8",
+    ("rem:file_flash@mtu", 120): "664e15a48440dbf272bfc93c7a7a97d84da87859e3de97c308e3c09fcd459414",
+    ("rem:file_executable@mtu", 8): "fbc46003ba371fd0cd6a61d8822ebd75d2070e4d6ccfba015e9278706dd3fba4",
+    ("rem:file_executable@mtu", 120): "0dcd5599c86c576f83e4de43a3449b0c99872f70b731663ef13906d2d7f020e8",
+    ("compression:app", 8): "199fcb8492a9e2794f96c1351273ba622c11776b086714a1aad80a12e2300272",
+    ("compression:app", 120): "8e9308d6c502fc3b975f9c2bc84a4dcb236cb30b01c9cfca63f5aefe830deb03",
+    ("compression:txt", 8): "6e7054b9446d2d772e4dd64e020439f51a003cc6a69c1d1f1a7dbdb7058da0c3",
+    ("compression:txt", 120): "88db9a8f069bd159b80df8faca1af4a7f1ef61190f716e2d6ef634e6a920f6f9",
+    ("ovs:10", 8): "f27ac3c1c88b8c4c45f4272decb5d41b0b2910eea919a7265cc5cd94f84dd7e8",
+    ("ovs:10", 120): "f27ac3c1c88b8c4c45f4272decb5d41b0b2910eea919a7265cc5cd94f84dd7e8",
+    ("ovs:100", 8): "0c37479c25f5605206088482960341087aa156a306da3b086c16a9795e21612f",
+    ("ovs:100", 120): "0c37479c25f5605206088482960341087aa156a306da3b086c16a9795e21612f",
 }
 
 

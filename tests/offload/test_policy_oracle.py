@@ -7,9 +7,12 @@ arrival list instead of a ``(time, backlog)`` history list drained with
 ``pop(0)``.  A frozen copy of the old loop is the oracle: routes,
 latencies, arrivals and every outcome field must match exactly, with no
 reaction delay and with one, with no health model, through an outage and
-through a throttling episode.
+through a throttling episode.  ``_run_policy`` speculates whole
+windows and patches them with the scalar loop, so the oracle also runs at
+the faults study's scale: its configs and fault windows at 30,000 packets.
 """
 
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -17,9 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.faults import (
+    RATE_FRACTION,
+    SNIC_PATH,
+    _balancer_config,
+    scenario_specs,
+)
 from repro.faults.models import SnicHealth
-from repro.faults.schedule import FaultSpec, FaultTimeline
+from repro.faults.schedule import KIND_CORE_LOSS, FaultSpec, FaultTimeline
 from repro.offload.loadbalancer import (
+    _FIRST_WINDOW,
     ROUTE_DROP,
     ROUTE_HOST,
     ROUTE_SNIC,
@@ -227,3 +237,93 @@ class TestPolicyOracle:
         for new, old in zip(got[1:], want[1:]):
             assert new.tobytes() == old.tobytes()
         assert set(np.unique(got[2])) <= {ROUTE_SNIC, ROUTE_HOST, ROUTE_DROP}
+
+
+# ---------------------------------------------------------------------------
+# The faults study's scale: 30,000 packets per call, configs and fault
+# windows built as ``experiments/faults.py`` builds them.
+# ---------------------------------------------------------------------------
+
+STUDY_PACKETS = 30_000
+# (host, SNIC) capacities in rps: an OvS-like fast function and a
+# compression-like slow one.
+CAPACITIES = {"fast": (4.0e6, 6.8e6), "slow": (4.1e5, 6.1e4)}
+
+
+def _study_run(capacity, scenario, seed, specs=None):
+    host, snic = CAPACITIES[capacity]
+    config = _balancer_config(SimpleNamespace(capacity_rps=host),
+                              SimpleNamespace(capacity_rps=snic))
+    rate = RATE_FRACTION * snic
+    horizon = STUDY_PACKETS / rate
+
+    def health():
+        if scenario is None:
+            return None
+        chosen = (specs(horizon) if specs is not None
+                  else scenario_specs(scenario, horizon))
+        return SnicHealth(FaultTimeline(chosen, horizon), target=SNIC_PATH)
+
+    got = _run_policy(config, rate, STUDY_PACKETS,
+                      np.random.default_rng(seed), snic_health=health())
+    want = frozen_run_policy(config, rate, STUDY_PACKETS,
+                             np.random.default_rng(seed),
+                             snic_health=health())
+    assert got[0] == want[0]
+    for new, old in zip(got[1:], want[1:]):
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+    return got
+
+
+class TestStudyScaleOracle:
+    @pytest.mark.parametrize(
+        "scenario", [None, "snic-outage", "thermal-throttle", "core-loss"])
+    @pytest.mark.parametrize("capacity", sorted(CAPACITIES))
+    def test_matches_frozen_loop(self, capacity, scenario):
+        _study_run(capacity, scenario, 2023)
+
+    @pytest.mark.parametrize("capacity", sorted(CAPACITIES))
+    def test_total_core_loss(self, capacity):
+        # Severity 1.0 leaves no core: the service factor is inf.
+        def specs(horizon):
+            return [FaultSpec.one_shot(
+                "core-loss", SNIC_PATH, start_s=0.35 * horizon,
+                duration_s=0.25 * horizon, kind=KIND_CORE_LOSS,
+                severity=1.0)]
+
+        # The first packet into the dead path takes forever, and its
+        # infinite backlog sends every later one to the host.
+        outcome, _, _, latencies = _study_run(capacity, "core-loss", 7, specs)
+        assert np.isinf(latencies).sum() == 1
+        assert outcome.sent_to_host > 0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_first_mismatch_on_a_window_boundary(self, offset):
+        # Widely spaced packets never queue, so every one goes to the
+        # SNIC, until three arrive at once: the third sees two services
+        # queued, more than the threshold, and is the first redirect.
+        first_host = _FIRST_WINDOW + offset
+
+        class BurstAt:
+            def exponential(self, scale, size):
+                gaps = np.full(size, 1e-3)
+                gaps[first_host - 1:first_host + 1] = 0.0
+                return gaps
+
+        config = BalancerConfig(8e-6, 8e-6, redirect_threshold_s=1.5e-6)
+        got = _run_policy(config, 1e3, 3 * _FIRST_WINDOW, BurstAt())
+        want = frozen_run_policy(config, 1e3, 3 * _FIRST_WINDOW, BurstAt())
+        assert got[0] == want[0]
+        for new, old in zip(got[1:], want[1:]):
+            assert new.tobytes() == old.tobytes()
+        routes = got[2]
+        assert (routes[:first_host] == ROUTE_SNIC).all()
+        assert routes[first_host] == ROUTE_HOST
+
+    @pytest.mark.parametrize("n_packets", [0, 1])
+    @pytest.mark.parametrize("health", sorted(HEALTH))
+    def test_tiny_streams(self, n_packets, health):
+        config = BalancerConfig(1.2e-6, 0.7e-6, monitor_cost_s=600 / 2.0e9,
+                                reaction_delay_s=20e-6)
+        assert_same_run(config, 2e6, n_packets, 5, HEALTH[health])

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cluster import fabric
 from repro.obs import metrics as obs_metrics
+from repro.offload import loadbalancer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +37,9 @@ PINNED_COUNTERS = {
     fabric.M_ENQUEUED: 36751,
     fabric.M_MARKED: 419,
     fabric.M_DROPPED: 182,
+    # The faults study's 20 balancer calls offer 600,000 packets; the
+    # rest are verified speculative windows.
+    loadbalancer.M_SCALAR_PACKETS: 98652,
 }
 
 

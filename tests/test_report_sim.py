@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster import fabric
 from repro.obs import metrics as obs_metrics
+from repro.offload import loadbalancer
 
 # sha256 of `python -m repro --engine sim report -o FILE` (with the
 # trailing newline the CLI writes).  Verdict-only knee rungs and the
@@ -34,6 +35,9 @@ PINNED_COUNTERS = {
     fabric.M_ENQUEUED: 36751,
     fabric.M_MARKED: 419,
     fabric.M_DROPPED: 182,
+    # The faults study's 20 balancer calls offer 600,000 packets; the
+    # rest are verified speculative windows.
+    loadbalancer.M_SCALAR_PACKETS: 98652,
 }
 
 
