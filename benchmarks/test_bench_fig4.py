@@ -47,7 +47,7 @@ def test_fig4(benchmark, streams):
 # A cheap subset for the parallel harness itself: 2 functions x 2
 # platforms = 4 independent work units.  The request count is sized so
 # the batch comfortably exceeds the executor's ~50 ms fork threshold on
-# a fast runner — the point is to measure the *pool*, not the bypass.
+# a fast runner — the point is to measure the *workers*, not the bypass.
 SMOKE_KEYS = ("udp:64", "dpdk:64")
 SMOKE_SAMPLES = 40
 SMOKE_REQUESTS = 12_000
@@ -56,12 +56,12 @@ SMOKE_REQUESTS = 12_000
 def test_fig4_parallel_speedup(benchmark):
     """--jobs must never change the rows, and must never slow things down.
 
-    Warm-up runs populate the profile caches and (for the parallel side)
-    the worker pool; both sides then take the best of ``ROUNDS`` timed
+    Warm-up runs populate the profile caches, which every batch's forked
+    workers then inherit; both sides take the best of ``ROUNDS`` timed
     runs, so the recorded speedup compares steady states rather than
     one cold run against one warm one.  The executor's serial bypass
     means ``jobs=4`` on a single-core machine degrades to the serial
-    path instead of paying pool overhead, so speedup >= ~1.0 must hold
+    path instead of paying fork overhead, so speedup >= ~1.0 must hold
     everywhere; the scaling claim (> 1) only applies with real cores.
     """
     ROUNDS = 5
@@ -72,23 +72,23 @@ def test_fig4_parallel_speedup(benchmark):
                         n_requests=SMOKE_REQUESTS,
                         streams=RandomStreams(7), executor=executor)
 
-    with ParallelExecutor(jobs=4) as parallel_executor:
-        serial_executor = ParallelExecutor(jobs=1)
-        compute(serial_executor)  # warm-up: profile caches, import costs
-        # Warm-up + harness-visible timing for the parallel side (also
-        # builds the worker pool and seeds the executor's work estimate).
-        parallel_rows = benchmark.pedantic(compute, args=(parallel_executor,),
-                                           rounds=1, iterations=1)
-        # Interleave the timed rounds so slow clock drift (thermal,
-        # noisy CI neighbors) hits both sides alike; take the best of
-        # each — the steady-state cost, not the unluckiest run.
-        serial_times, parallel_times = [], []
-        for _ in range(ROUNDS):
-            serial_times.append(_timed(compute, serial_executor))
-            parallel_times.append(_timed(compute, parallel_executor))
-        serial_seconds = min(serial_times)
-        parallel_seconds = min(parallel_times)
-        bypasses = parallel_executor.bypasses
+    parallel_executor = ParallelExecutor(jobs=4)
+    serial_executor = ParallelExecutor(jobs=1)
+    compute(serial_executor)  # warm-up: profile caches, import costs
+    # Warm-up + harness-visible timing for the parallel side (also seeds
+    # the executor's work estimate).
+    parallel_rows = benchmark.pedantic(compute, args=(parallel_executor,),
+                                       rounds=1, iterations=1)
+    # Interleave the timed rounds so slow clock drift (thermal, noisy CI
+    # neighbors) hits both sides alike; take the best of each — the
+    # steady-state cost, not the unluckiest run.
+    serial_times, parallel_times = [], []
+    for _ in range(ROUNDS):
+        serial_times.append(_timed(compute, serial_executor))
+        parallel_times.append(_timed(compute, parallel_executor))
+    serial_seconds = min(serial_times)
+    parallel_seconds = min(parallel_times)
+    bypasses = parallel_executor.bypasses
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
     # The affinity-aware count: a pinned CI runner must not record the

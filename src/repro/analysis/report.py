@@ -381,8 +381,8 @@ def generate_report(
     same invocation-wide ``samples``/``n_requests``, so each (function,
     platform, fidelity) operating point is simulated at most once per
     report.  ``jobs`` parallelizes the independent measurements in each
-    artifact; passing a shared ``executor`` instead reuses one worker
-    pool across every phase.
+    artifact; passing a shared ``executor`` instead runs every phase on
+    it (one supervisor, one runtime estimate for the serial bypass).
     """
     from ..experiments.registry import ExperimentContext
 

@@ -340,9 +340,6 @@ def _main(argv: Optional[List[str]]) -> int:
     if _runfarm_active(args):
         executor = _setup_runfarm(args, parser)
     else:
-        # One executor (one worker pool) for the whole invocation:
-        # every phase of a multi-phase verb reuses the same workers
-        # instead of re-paying pool startup per batch.
         executor = ParallelExecutor(args.jobs)
     # After runfarm setup: a resumed manifest may have adopted the
     # original run's engine so the resumed output stays byte-identical.
@@ -379,7 +376,6 @@ def _main(argv: Optional[List[str]]) -> int:
         # failing verb: a run that died mid-study still reports what it
         # actually did.
         try:
-            executor.close()
             if tracing:
                 _write_trace_files(args.trace_dir or ".")
             if args.metrics_out:
@@ -569,7 +565,7 @@ def _dispatch(args, streams, executor) -> int:
     """Generic registry-driven verb driver.
 
     One :class:`ExperimentContext` per invocation carries the streams,
-    the shared worker pool, the fidelity tier, and the per-invocation
+    the shared executor, the fidelity tier, and the per-invocation
     result memo — so a verb with dependencies (fig6, table5,
     observations) computes each upstream artifact exactly once.
     """

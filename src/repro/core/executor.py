@@ -3,9 +3,8 @@
 The experiment stack is embarrassingly parallel at well-defined seams:
 operating-point measurements (one per ``(function, platform)`` pair),
 rate-ladder points, and fault scenarios are mutually independent.  This
-module fans such units across a :class:`concurrent.futures.
-ProcessPoolExecutor` while guaranteeing that results are *bit-identical*
-to a serial run.
+module fans such units over worker processes forked for each batch
+while guaranteeing that results are *bit-identical* to a serial run.
 
 The determinism contract
 ------------------------
@@ -31,10 +30,7 @@ import multiprocessing
 import os
 import pickle
 import signal
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import (
@@ -42,6 +38,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -117,11 +114,12 @@ class QuarantinedUnitError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One independent, pure, picklable piece of work.
+    """One independent, pure piece of work.
 
     ``name`` identifies the unit in diagnostics and should be unique
     within a batch; by convention it matches the RNG-substream namespace
-    the unit derives its randomness from.
+    the unit derives its randomness from.  Workers inherit the batch
+    when they fork, so a unit need not pickle; its result must.
     """
 
     name: str
@@ -136,7 +134,7 @@ class WorkUnit:
 def _invoke(
     unit: WorkUnit, trace_spec: Optional[Dict[str, Any]] = None
 ) -> Tuple[Any, Dict[str, Any], Optional[List[trace.TraceEvent]]]:
-    """Worker entry point: run a unit; capture metric + trace deltas.
+    """Run a unit in a worker; capture its metric and trace deltas.
 
     The delta is a full metric-registry delta (counters, gauges,
     histogram observations — see :meth:`repro.obs.metrics.MetricRegistry
@@ -159,30 +157,18 @@ def _invoke(
         trace.disable()
 
 
-def _invoke_chunk(
-    units: Sequence[WorkUnit], trace_spec: Optional[Dict[str, Any]] = None
-) -> List[Tuple[Any, Dict[str, Any], Optional[List[trace.TraceEvent]]]]:
-    """Run several units in one worker round trip (chunked submission).
-
-    Each unit still gets its own metric snapshot and (when tracing) its
-    own fresh recorder, so the per-unit tuples shipped back are exactly
-    what per-unit submission would have produced — chunking changes the
-    IPC count, never the payload.
-    """
-    return [_invoke(unit, trace_spec) for unit in units]
-
-
-# -- supervised execution (run-farm substrate) -------------------------------
+# -- the worker loop ----------------------------------------------------------
 
 # Chaos injection for CI and tests: when set to N, a supervised worker
-# whose unit-name hash is divisible by N SIGKILLs itself on its FIRST
-# attempt.  Results stay byte-identical — units are pure, so the
+# whose unit-name hash is divisible by N SIGKILLs itself on the unit's
+# FIRST attempt.  Results stay byte-identical — units are pure, so the
 # supervisor's requeue recomputes the same value — which is exactly what
-# the chaos-smoke CI job asserts.
+# tests/runfarm/test_chaos_matrix.py asserts.
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_NTH"
 
-# Parent-side poll tick for the supervised wait loop (seconds).
-_SUPERVISED_TICK_S = 0.05
+# Parent-side poll tick of the dispatch loop (seconds): how often it
+# checks deadlines and heartbeats while every worker is busy.
+_TICK_S = 0.05
 # Worker heartbeat period (seconds); the health monitor calls a worker
 # hung once beats go stale for several periods.
 HEARTBEAT_INTERVAL_S = 0.25
@@ -202,58 +188,71 @@ def _chaos_maybe_kill(unit_name: str, attempt: int) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _supervised_worker(conn, unit: WorkUnit, attempt: int,
-                       trace_spec: Optional[Dict[str, Any]],
-                       heartbeat_dir: Optional[str],
-                       heartbeat_interval_s: float) -> None:
-    """Child-process entry point for one supervised unit.
+def _worker_loop(conn, inherited: Sequence[Any], units: Sequence[WorkUnit],
+                 attempts: Optional[Sequence[int]],
+                 trace_spec: Optional[Dict[str, Any]],
+                 heartbeat_dir: Optional[str]) -> None:
+    """Child-process entry point: run the units the parent names.
 
-    Runs exactly one unit, ships ``("ok", (result, metric_delta,
-    trace_events), cpu_seconds)`` or ``("error", type_name, message)``
-    back over the pipe, and beats a heartbeat file for the parent's
-    health monitor while the unit runs.  A SIGKILL (timeout enforcement,
-    OOM, chaos) simply truncates the pipe — the parent reads EOF as
-    worker-lost.
+    The worker was forked at the start of the batch, so it already holds
+    ``units``: the parent sends one index at a time and the worker
+    replies ``("ok", (result, metric_delta, trace_events), cpu_seconds)``
+    or ``("error", type_name, message)``, beating a heartbeat file that
+    names the unit while it runs.  ``None`` or a closed pipe ends the
+    loop and the function returns, so multiprocessing's exit hooks run.
+    A SIGKILL (deadline, OOM, chaos) truncates the pipe instead: the
+    parent reads EOF as worker-lost.
+
+    ``inherited`` are the parent's ends of this worker's pipe and of the
+    pipes to workers forked earlier; closing this process's copies lets
+    every worker see EOF once the parent dies.  ``attempts`` is None
+    outside supervision, where chaos injection does not apply.
     """
-    stop_heartbeat: Optional[Callable[[], None]] = None
-    try:
-        if heartbeat_dir is not None:
-            from ..runfarm.health import start_heartbeat
-
-            stop_heartbeat = start_heartbeat(
-                heartbeat_dir, unit.name, interval_s=heartbeat_interval_s)
-        _chaos_maybe_kill(unit.name, attempt)
-        cpu_before = time.process_time()
-        outcome = _invoke(unit, trace_spec)
-        cpu_s = time.process_time() - cpu_before
-        conn.send(("ok", outcome, cpu_s))
-    except BaseException as exc:  # noqa: BLE001 — typed record, not a raise
+    for end in inherited:
+        end.close()
+    while True:
         try:
-            conn.send(("error", type(exc).__name__, str(exc)))
-        except Exception:  # noqa: BLE001 — result unpicklable / pipe gone
-            pass
-    finally:
-        if stop_heartbeat is not None:
-            stop_heartbeat()
+            index = conn.recv()
+        except (EOFError, OSError):
+            return
+        if index is None:
+            return
+        unit = units[index]
+        stop_heartbeat: Optional[Callable[[], None]] = None
         try:
-            conn.close()
-        except OSError:
-            pass
+            if heartbeat_dir is not None:
+                from ..runfarm.health import start_heartbeat
 
-
-class _InProcessTimeout(Exception):
-    """SIGALRM-driven deadline hit on the in-process fallback path."""
+                stop_heartbeat = start_heartbeat(
+                    heartbeat_dir, unit.name, interval_s=HEARTBEAT_INTERVAL_S)
+            if attempts is not None:
+                _chaos_maybe_kill(unit.name, attempts[index])
+            cpu_before = time.process_time()
+            outcome = _invoke(unit, trace_spec)
+            reply = ("ok", outcome, time.process_time() - cpu_before)
+        except Exception as exc:  # noqa: BLE001 — typed record, not a raise
+            reply = ("error", type(exc).__name__, str(exc))
+        finally:
+            if stop_heartbeat is not None:
+                stop_heartbeat()
+        try:
+            conn.send(reply)
+        except Exception as exc:  # noqa: BLE001 — the result does not pickle
+            try:
+                conn.send(("error", type(exc).__name__, str(exc)))
+            except OSError:  # the parent is gone
+                return
 
 
 @dataclass
-class _Running:
-    """Parent-side state for one in-flight supervised worker."""
+class _Worker:
+    """Parent-side state for one forked worker and its unit in flight."""
 
-    index: int
-    unit: WorkUnit
-    attempt: int
     proc: Any
-    started: float
+    conn: Any
+    index: Optional[int] = None  # None while idle
+    unit: Optional[WorkUnit] = None
+    started: float = 0.0
     reported_slow: bool = False
 
 
@@ -273,12 +272,36 @@ def _emit_unit_profile(unit: WorkUnit, events: int, delta: Dict[str, Any]) -> No
     )
 
 
+def _run_here(unit: WorkUnit) -> Any:
+    """Run one unit in this process, under its own track when tracing."""
+    if not trace.TRACING:
+        return unit.run()
+    recorder = trace.recorder()
+    before_appended = recorder.appended
+    before = metrics.snapshot()
+    with trace.track(unit.name):
+        result = unit.run()
+    _emit_unit_profile(unit, recorder.appended - before_appended,
+                       metrics.delta_since(before))
+    return result
+
+
+def _merge(unit: WorkUnit, delta: Dict[str, Any],
+           events: Optional[List[trace.TraceEvent]]) -> None:
+    """Fold a worker's deltas into this process, as if the unit ran here."""
+    metrics.merge(delta)
+    recorder = trace.recorder()
+    if events is not None and recorder is not None:
+        recorder.extend(events)
+        _emit_unit_profile(unit, len(events), delta)
+
+
 @dataclass(frozen=True)
 class UnitProfile:
     """Parent-side performance record of one completed supervised unit.
 
-    ``wall_s`` is measured by the supervisor's clock (spawn to reap),
-    ``cpu_s`` by the worker's own ``time.process_time()``, and
+    ``wall_s`` is measured by the supervisor's clock (dispatch to
+    reply), ``cpu_s`` by the worker's own ``time.process_time()``, and
     ``sim_events`` comes from the unit's merged metric delta — so the
     profile is a pure observation that never feeds back into results.
     """
@@ -334,9 +357,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 # Estimated total batch work (seconds) below which fork + IPC overhead
 # beats any parallel win and the batch runs serially instead.
 MIN_PARALLEL_SECONDS = 0.05
-# Chunked submission: aim for this many chunks per worker, balancing
-# per-task IPC against load-balance granularity.
-_CHUNKS_PER_WORKER = 4
 # EWMA smoothing for the per-unit runtime estimate behind the bypass.
 _EWMA_ALPHA = 0.5
 
@@ -345,66 +365,28 @@ class ParallelExecutor:
     """Runs batches of :class:`WorkUnit` with a fixed worker budget.
 
     ``jobs=1`` (the default) executes in-process, in order — the output
-    is the reference a parallel run must reproduce.  ``jobs>1`` fans the
-    batch over a worker-process pool; results always come back in
-    submission order.  Batches whose units cannot be pickled (e.g.
-    closures) fall back to the serial path instead of failing.
+    is the reference a parallel run must reproduce.  ``jobs>1`` and
+    every supervised batch go through one dispatch loop: at the start of
+    the batch it forks ``min(jobs, usable cores, units)`` workers, which
+    inherit the batch and the parent's state as of that moment, hands
+    them one unit index at a time, and merges their replies in
+    submission order.  The workers exit with the batch, so no batch sees
+    state a worker built for an earlier one.
 
-    Three things keep ``--jobs`` a speedup instead of a slowdown:
-
-    * **Pool reuse** — the process pool is created once (lazily) and
-      reused across every ``map`` call until :meth:`close`, so a study
-      with many phases pays the fork cost once, not per phase.
-    * **Chunked submission** — a batch is shipped as a handful of
-      chunks per worker rather than one IPC round trip per unit.
-    * **Serial bypass** — when the machine has one usable core, or an
-      EWMA of observed per-unit runtime says the whole batch is worth
-      less than ~50 ms, forking cannot win and the batch runs in
-      process (``serial_bypass=False`` disables the heuristic, for
-      tests and benchmarks that must exercise the pool).
-
-    The executor is a context manager; exiting (or :meth:`close`)
-    shuts the pool down.  A worker that dies mid-batch (OOM-killed,
-    crashed interpreter) raises ``BrokenProcessPool`` inside the pool;
-    work units are pure, so the batch transparently reruns serially and
-    a fresh pool is built on the next parallel call.
+    A **serial bypass** runs a plain batch in process when the machine
+    has one usable core or an EWMA of observed per-unit runtime prices
+    the whole batch under ~50 ms, where forking cannot win.
     """
 
-    def __init__(self, jobs: int = 1, serial_bypass: bool = True):
+    def __init__(self, jobs: int = 1):
         self.jobs = resolve_jobs(jobs)
-        self.serial_bypass = serial_bypass
         self.units_run = 0
-        self.fallbacks = 0
         self.bypasses = 0
-        self.pool_restarts = 0
         # Per-unit wall/CPU/events profiles from the most recent
         # map_supervised call (unit name -> UnitProfile); the run-farm
         # supervisor journals these into the manifest.
         self.last_profiles: Dict[str, UnitProfile] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._seconds_per_unit: Optional[float] = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the worker pool (the executor stays usable: a later
-        parallel ``map`` simply builds a fresh pool)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            workers = self._effective_workers()
-            logger.debug("starting process pool with %d workers", workers)
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        return self._pool
 
     def _effective_workers(self) -> int:
         return min(self.jobs, usable_cpu_count())
@@ -412,25 +394,34 @@ class ParallelExecutor:
     # -- execution ----------------------------------------------------------
 
     def map(self, units: Sequence[WorkUnit]) -> List[Any]:
+        """Run a batch; results (and merged deltas) in submission order.
+
+        A unit whose worker attempt fails (it raised, its result did not
+        pickle, its worker died) reruns here at its slot, so an
+        exception surfaces exactly as it does at ``jobs=1`` and a dead
+        worker costs only its own unit.
+        """
         units = list(units)
         self.units_run += len(units)
         serial = self.jobs <= 1 or len(units) <= 1
-        if not serial and not self._picklable(units):
-            self.fallbacks += 1
-            logger.debug("batch of %d units is not picklable; running serially",
-                         len(units))
-            serial = True
-        if not serial and self.serial_bypass and self._should_bypass(len(units)):
+        if not serial and self._should_bypass(len(units)):
             self.bypasses += 1
             serial = True
         started = time.perf_counter()
         if serial:
-            results = self._map_serial(units)
+            results = [_run_here(unit) for unit in units]
             self._observe(time.perf_counter() - started, len(units), workers=1)
-        else:
-            results = self._map_parallel(units)
-            self._observe(time.perf_counter() - started, len(units),
-                          workers=self._effective_workers())
+            return results
+        results = []
+        for unit, slot in zip(units, self._dispatch(units)):
+            if isinstance(slot, UnitFailure):
+                results.append(_run_here(unit))
+                continue
+            (result, delta, events), _cpu_s, _wall_s = slot
+            _merge(unit, delta, events)
+            results.append(result)
+        self._observe(time.perf_counter() - started, len(units),
+                      workers=self._effective_workers())
         return results
 
     def _should_bypass(self, n_units: int) -> bool:
@@ -453,7 +444,8 @@ class ParallelExecutor:
 
         A parallel batch's wall time is divided across ``workers``, so
         the per-unit cost it implies is ``elapsed * workers / n``.  Only
-        the bypass heuristic reads this — never results.
+        the bypass heuristic and the slow-worker check read this —
+        never results.
         """
         if n_units <= 0:
             return
@@ -464,61 +456,7 @@ class ParallelExecutor:
             self._seconds_per_unit = (_EWMA_ALPHA * sample
                                       + (1 - _EWMA_ALPHA) * self._seconds_per_unit)
 
-    def _map_serial(self, units: Sequence[WorkUnit]) -> List[Any]:
-        if not trace.TRACING:
-            return [unit.run() for unit in units]
-        recorder = trace.recorder()
-        results: List[Any] = []
-        for unit in units:
-            before_appended = recorder.appended
-            before = metrics.snapshot()
-            with trace.track(unit.name):
-                result = unit.run()
-            _emit_unit_profile(unit, recorder.appended - before_appended,
-                               metrics.delta_since(before))
-            results.append(result)
-        return results
-
-    def _map_parallel(self, units: Sequence[WorkUnit]) -> List[Any]:
-        recorder = trace.recorder()
-        trace_spec = None
-        if recorder is not None:
-            trace_spec = {"capacity": recorder.capacity,
-                          "metrics_interval_s": recorder.metrics_interval_s}
-        workers = self._effective_workers()
-        chunk_size = max(1, -(-len(units) // (workers * _CHUNKS_PER_WORKER)))
-        chunks = [list(units[i:i + chunk_size])
-                  for i in range(0, len(units), chunk_size)]
-        logger.debug("fanning %d units over %d workers (%d chunks)",
-                     len(units), workers, len(chunks))
-        try:
-            pool = self._ensure_pool()
-            futures = [pool.submit(_invoke_chunk, chunk, trace_spec)
-                       for chunk in chunks]
-            # Collect everything BEFORE merging any counter/trace deltas:
-            # if a worker dies mid-batch nothing has been folded in yet,
-            # so the serial rerun below cannot double-count.
-            outcomes = [future.result() for future in futures]
-        except BrokenProcessPool:
-            self.pool_restarts += 1
-            logger.warning("worker pool died mid-batch; rerunning %d units "
-                           "serially (next parallel call gets a new pool)",
-                           len(units))
-            self.close()
-            return self._map_serial(units)
-        results: List[Any] = []
-        # Merging in submission order reproduces the serial event
-        # sequence (and counter totals) byte for byte.
-        for chunk, chunk_outcomes in zip(chunks, outcomes):
-            for unit, (result, delta, events) in zip(chunk, chunk_outcomes):
-                metrics.merge(delta)
-                if events is not None and recorder is not None:
-                    recorder.extend(events)
-                    _emit_unit_profile(unit, len(events), delta)
-                results.append(result)
-        return results
-
-    # -- supervised execution (per-unit processes, deadlines, kills) --------
+    # -- supervised execution (deadlines, kills, typed failures) -------------
 
     def map_supervised(
         self,
@@ -529,188 +467,176 @@ class ParallelExecutor:
     ) -> List[Union[Any, "UnitFailure"]]:
         """Run one attempt of each unit under fault containment.
 
-        Unlike :meth:`map` (shared pool, chunked batches), every unit
-        gets its **own worker process** so the supervisor can enforce a
-        per-unit wall-clock deadline with a surgical SIGKILL — one hung
-        probe dies alone instead of stalling or breaking a shared pool.
-        Up to ``jobs`` workers run concurrently; results come back in
+        Every unit runs in a forked worker, at any ``jobs``, so the
+        supervisor can enforce a per-unit wall-clock deadline with a
+        surgical SIGKILL: one hung probe dies alone, and a replacement
+        worker takes the rest of the batch.  Results come back in
         submission order, and every way a unit can die is surfaced as a
         :class:`UnitFailure` in its result slot, never an exception.
 
         Counter deltas and trace events from *successful* units merge in
         submission order (exactly like :meth:`map`), so a supervised run
-        of healthy units is byte-identical to a plain one.  Batches that
-        cannot be pickled fall back in-process, where the deadline is
-        enforced best-effort with ``SIGALRM`` (main thread only).
+        of healthy units is byte-identical to a plain one.
         """
         units = list(units)
         self.units_run += len(units)
         self.last_profiles = {}
-        if attempts is None:
-            attempts = [1] * len(units)
         if not units:
             return []
-        if not self._picklable(units):
-            self.fallbacks += 1
-            logger.debug("supervised batch of %d units is not picklable; "
-                         "running in-process", len(units))
-            return self._map_supervised_inprocess(units, unit_timeout_s,
-                                                  attempts)
-        started_batch = time.perf_counter()
-        results = self._map_supervised_procs(units, unit_timeout_s,
-                                             heartbeat_dir, attempts)
-        self._observe(time.perf_counter() - started_batch, len(units),
+        started = time.perf_counter()
+        slots = self._dispatch(units, list(attempts or [1] * len(units)),
+                               unit_timeout_s, heartbeat_dir)
+        results: List[Union[Any, UnitFailure]] = []
+        for unit, slot in zip(units, slots):
+            if isinstance(slot, UnitFailure):
+                results.append(slot)
+                continue
+            (result, delta, events), cpu_s, wall_s = slot
+            _merge(unit, delta, events)
+            self.last_profiles[unit.name] = UnitProfile(
+                unit=unit.name, wall_s=wall_s, cpu_s=cpu_s,
+                sim_events=metrics.counter_delta(delta, metrics.EVENTS_FIRED))
+            results.append(result)
+        self._observe(time.perf_counter() - started, len(units),
                       workers=self._effective_workers())
         return results
 
-    def _map_supervised_procs(
+    # -- the dispatch loop ----------------------------------------------------
+
+    def _dispatch(
         self,
         units: List[WorkUnit],
-        unit_timeout_s: Optional[float],
-        heartbeat_dir: Optional[str],
-        attempts: Sequence[int],
-    ) -> List[Union[Any, "UnitFailure"]]:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover — non-fork platforms
-            ctx = multiprocessing.get_context()
+        attempts: Optional[List[int]] = None,
+        unit_timeout_s: Optional[float] = None,
+        heartbeat_dir: Optional[str] = None,
+    ) -> List[Any]:
+        """One attempt of each unit on workers forked for this batch.
+
+        Returns, per slot, ``(worker outcome, cpu seconds, wall seconds)``
+        or a :class:`UnitFailure`; nothing is merged here, so a caller
+        that reruns a failed unit cannot double-count.  A worker past
+        the deadline is SIGKILLed, and a worker that dies is replaced
+        while units remain.
+        """
+        ctx = multiprocessing.get_context("fork")
         recorder = trace.recorder()
         trace_spec = None
         if recorder is not None:
             trace_spec = {"capacity": recorder.capacity,
                           "metrics_interval_s": recorder.metrics_interval_s}
-        workers = self._effective_workers()
-        results: List[Union[Any, UnitFailure]] = [None] * len(units)
-        # index -> (worker outcome tuple, worker cpu seconds, wall seconds)
-        successes: Dict[int, Tuple[Any, Optional[float], float]] = {}
-        running: Dict[Any, _Running] = {}
         monitor = None
         if heartbeat_dir is not None:
             from ..runfarm.health import HealthMonitor
 
             monitor = HealthMonitor(heartbeat_dir)
+        tries = attempts or [1] * len(units)
+        width = min(self._effective_workers(), len(units))
+        slots: List[Any] = [None] * len(units)
+        workers: List[_Worker] = []
         next_index = 0
 
-        def launch() -> None:
-            nonlocal next_index
-            while next_index < len(units) and len(running) < workers:
-                index = next_index
-                next_index += 1
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_supervised_worker,
-                    args=(send_conn, units[index], attempts[index],
-                          trace_spec, heartbeat_dir, HEARTBEAT_INTERVAL_S),
-                    daemon=True,
-                )
-                proc.start()
-                send_conn.close()
-                running[recv_conn] = _Running(index=index, unit=units[index],
-                                              attempt=attempts[index],
-                                              proc=proc,
-                                              started=time.perf_counter())
-
-        def reap(conn, state: _Running) -> None:
-            """Collect one finished worker's message (or its corpse)."""
-            payload = None
-            try:
-                payload = conn.recv()
-            except (EOFError, OSError):
-                payload = None
-            state.proc.join(timeout=5.0)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            elapsed = time.perf_counter() - state.started
-            if payload is None:
-                exitcode = state.proc.exitcode
-                failure = UnitFailure(
-                    unit=state.unit.name, kind=UnitFailure.WORKER_LOST,
-                    elapsed_s=elapsed, attempt=state.attempt,
-                    message=f"worker exited with code {exitcode}")
-                metrics.counter(metrics.RUNFARM_WORKER_LOST).inc()
-                logger.warning("worker for unit %s died (exit %s); "
-                               "surfacing worker-lost", state.unit.name,
-                               exitcode)
-                if trace.TRACING:
-                    trace.instant("runfarm.worker_lost", trace.RUNFARM,
-                                  unit=state.unit.name, attempt=state.attempt)
-                results[state.index] = failure
-            elif payload[0] == "ok":
-                cpu_s = payload[2] if len(payload) > 2 else None
-                successes[state.index] = (payload[1], cpu_s, elapsed)
-            else:
-                _tag, error_type, message = payload
-                results[state.index] = UnitFailure(
-                    unit=state.unit.name, kind=UnitFailure.ERROR,
-                    elapsed_s=elapsed, attempt=state.attempt,
-                    message=message, error_type=error_type)
+        def fork() -> _Worker:
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_loop,
+                args=(child_conn, [parent_conn, *(w.conn for w in workers)],
+                      units, attempts, trace_spec, heartbeat_dir),
+                daemon=True)
+            proc.start()
+            child_conn.close()
+            workers.append(_Worker(proc=proc, conn=parent_conn))
+            return workers[-1]
 
         try:
-            while next_index < len(units) or running:
-                launch()
-                ready = mp_connection.wait(list(running),
-                                           timeout=_SUPERVISED_TICK_S)
-                for conn in ready:
-                    reap(conn, running.pop(conn))
+            while True:
+                while next_index < len(units):
+                    idle = next((w for w in workers if w.index is None), None)
+                    if idle is None:
+                        if len(workers) >= width:
+                            break
+                        idle = fork()
+                    idle.index, idle.unit = next_index, units[next_index]
+                    idle.started, idle.reported_slow = time.perf_counter(), False
+                    next_index += 1
+                    try:
+                        idle.conn.send(idle.index)
+                    except OSError:  # it died while idle; wait() sees EOF
+                        pass
+                busy = {w.conn: w for w in workers if w.index is not None}
+                if not busy:
+                    return slots
+                lost: List[Tuple[_Worker, str]] = []
+                for conn in mp_connection.wait(list(busy), timeout=_TICK_S):
+                    worker = busy[conn]
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError):
+                        workers.remove(worker)
+                        lost.append((worker, UnitFailure.WORKER_LOST))
+                        continue
+                    elapsed = time.perf_counter() - worker.started
+                    if reply[0] == "ok":
+                        slots[worker.index] = (reply[1], reply[2], elapsed)
+                    else:
+                        slots[worker.index] = UnitFailure(
+                            unit=worker.unit.name, kind=UnitFailure.ERROR,
+                            elapsed_s=elapsed, attempt=tries[worker.index],
+                            message=reply[2], error_type=reply[1])
+                    worker.index = worker.unit = None
                 if unit_timeout_s is not None:
                     now = time.perf_counter()
-                    for conn, state in list(running.items()):
-                        if now - state.started <= unit_timeout_s:
-                            continue
-                        # Deadline expired: SIGKILL just this worker and
-                        # surface a typed timeout; the supervisor decides
-                        # whether to requeue.
-                        del running[conn]
-                        state.proc.kill()
-                        state.proc.join(timeout=5.0)
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
-                        elapsed = now - state.started
-                        metrics.counter(metrics.RUNFARM_TIMEOUTS).inc()
-                        logger.warning(
-                            "unit %s exceeded %.2fs deadline after %.2fs; "
-                            "SIGKILLed worker %s", state.unit.name,
-                            unit_timeout_s, elapsed, state.proc.pid)
-                        if trace.TRACING:
-                            trace.instant("runfarm.timeout", trace.RUNFARM,
-                                          unit=state.unit.name,
-                                          attempt=state.attempt)
-                        results[state.index] = UnitFailure(
-                            unit=state.unit.name, kind=UnitFailure.TIMEOUT,
-                            elapsed_s=elapsed, attempt=state.attempt,
-                            message=f"exceeded {unit_timeout_s:.2f}s deadline")
+                    for worker in [w for w in workers if w.index is not None
+                                   and now - w.started > unit_timeout_s]:
+                        worker.proc.kill()
+                        workers.remove(worker)
+                        lost.append((worker, UnitFailure.TIMEOUT))
+                # A dead or killed worker costs only its unit; the next
+                # pass forks a replacement if units remain.
+                for worker, kind in lost:
+                    elapsed = time.perf_counter() - worker.started
+                    worker.proc.join(timeout=5.0)
+                    worker.conn.close()
+                    if kind == UnitFailure.TIMEOUT:
+                        message = f"exceeded {unit_timeout_s:.2f}s deadline"
+                        counter, event = metrics.RUNFARM_TIMEOUTS, "timeout"
+                    else:
+                        message = (f"worker exited with code "
+                                   f"{worker.proc.exitcode}")
+                        counter = metrics.RUNFARM_WORKER_LOST
+                        event = "worker_lost"
+                    metrics.counter(counter).inc()
+                    logger.warning("unit %s %s: %s (worker %s)",
+                                   worker.unit.name, kind, message,
+                                   worker.proc.pid)
+                    if trace.TRACING:
+                        trace.instant(f"runfarm.{event}", trace.RUNFARM,
+                                      unit=worker.unit.name,
+                                      attempt=tries[worker.index])
+                    slots[worker.index] = UnitFailure(
+                        unit=worker.unit.name, kind=kind, elapsed_s=elapsed,
+                        attempt=tries[worker.index], message=message)
                 if monitor is not None:
-                    self._check_health(monitor, running, unit_timeout_s)
+                    self._check_health(
+                        monitor, [w for w in workers if w.index is not None])
         finally:
-            # An unexpected parent-side error must not leak children.
-            for conn, state in running.items():
-                state.proc.kill()
-                state.proc.join(timeout=5.0)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        # Merge successful units' metrics/traces in submission order so
-        # supervised output matches the serial reference byte for byte.
-        for index in sorted(successes):
-            (result, delta, events), cpu_s, wall_s = successes[index]
-            metrics.merge(delta)
-            if events is not None and recorder is not None:
-                recorder.extend(events)
-                _emit_unit_profile(units[index], len(events), delta)
-            self.last_profiles[units[index].name] = UnitProfile(
-                unit=units[index].name, wall_s=wall_s, cpu_s=cpu_s,
-                sim_events=metrics.counter_delta(delta,
-                                                 metrics.EVENTS_FIRED))
-            results[index] = result
-        return results
+            # Idle workers return from their loop (their exit hooks run);
+            # busy ones are only still running if the parent failed.
+            for worker in workers:
+                if worker.index is None:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+                else:
+                    worker.proc.kill()
+            for worker in workers:
+                worker.proc.join(timeout=5.0)
+                if worker.proc.exitcode is None:
+                    worker.proc.kill()
+                    worker.proc.join()
+                worker.conn.close()
 
-    def _check_health(self, monitor, running: Dict[Any, _Running],
-                      unit_timeout_s: Optional[float]) -> None:
+    def _check_health(self, monitor, busy: Iterable[_Worker]) -> None:
         """Fold a heartbeat scan into counters; log hung/slow workers.
 
         ``hung`` means the worker's heartbeat went stale (the process is
@@ -719,7 +645,7 @@ class ParallelExecutor:
         taking much longer than the batch EWMA predicts.
         """
         beats = monitor.scan()
-        for state in running.values():
+        for state in busy:
             status = beats.get(state.unit.name)
             elapsed = time.perf_counter() - state.started
             expected = self._seconds_per_unit
@@ -739,72 +665,6 @@ class ParallelExecutor:
                     "worker %s (unit %s) is slow: %.1fs vs ~%.2fs expected "
                     "(heartbeat healthy)", state.proc.pid, state.unit.name,
                     elapsed, expected)
-
-    def _map_supervised_inprocess(
-        self,
-        units: List[WorkUnit],
-        unit_timeout_s: Optional[float],
-        attempts: Sequence[int],
-    ) -> List[Union[Any, "UnitFailure"]]:
-        """Fallback for unpicklable batches: same typed-failure contract.
-
-        The deadline is enforced with ``SIGALRM`` where possible (main
-        thread, POSIX); a numpy-bound unit may overshoot, but a pure-
-        Python hang is still contained.  Workers cannot be killed here,
-        so ``worker-lost`` never occurs on this path.
-        """
-        use_alarm = (
-            unit_timeout_s is not None
-            and hasattr(signal, "setitimer")
-            and threading.current_thread() is threading.main_thread()
-        )
-        results: List[Union[Any, UnitFailure]] = []
-        for unit, attempt in zip(units, attempts):
-            started = time.perf_counter()
-            cpu_started = time.process_time()
-            previous = None
-            if use_alarm:
-                def _on_alarm(_signum, _frame):
-                    raise _InProcessTimeout()
-                previous = signal.signal(signal.SIGALRM, _on_alarm)
-                signal.setitimer(signal.ITIMER_REAL, unit_timeout_s)
-            try:
-                before = metrics.snapshot()
-                if trace.TRACING:
-                    recorder = trace.recorder()
-                    before_appended = recorder.appended
-                    with trace.track(unit.name):
-                        result = unit.run()
-                    _emit_unit_profile(unit,
-                                       recorder.appended - before_appended,
-                                       metrics.delta_since(before))
-                else:
-                    result = unit.run()
-                self.last_profiles[unit.name] = UnitProfile(
-                    unit=unit.name,
-                    wall_s=time.perf_counter() - started,
-                    cpu_s=time.process_time() - cpu_started,
-                    sim_events=metrics.counter_delta(
-                        metrics.delta_since(before),
-                        metrics.EVENTS_FIRED))
-                results.append(result)
-            except _InProcessTimeout:
-                metrics.counter(metrics.RUNFARM_TIMEOUTS).inc()
-                results.append(UnitFailure(
-                    unit=unit.name, kind=UnitFailure.TIMEOUT,
-                    elapsed_s=time.perf_counter() - started, attempt=attempt,
-                    message=f"exceeded {unit_timeout_s:.2f}s deadline "
-                            "(in-process)"))
-            except Exception as exc:  # noqa: BLE001 — typed record
-                results.append(UnitFailure(
-                    unit=unit.name, kind=UnitFailure.ERROR,
-                    elapsed_s=time.perf_counter() - started, attempt=attempt,
-                    message=str(exc), error_type=type(exc).__name__))
-            finally:
-                if use_alarm:
-                    signal.setitimer(signal.ITIMER_REAL, 0.0)
-                    signal.signal(signal.SIGALRM, previous)
-        return results
 
     # -- keyed (cache-aware) execution --------------------------------------
 
@@ -843,14 +703,6 @@ class ParallelExecutor:
             store.put(keys[index], value)
             results[index] = value
         return results
-
-    @staticmethod
-    def _picklable(units: Sequence[WorkUnit]) -> bool:
-        try:
-            pickle.dumps(units)
-        except Exception:  # noqa: BLE001 — any pickling failure means serial
-            return False
-        return True
 
 
 def unit_content_key(unit: WorkUnit) -> Optional[str]:

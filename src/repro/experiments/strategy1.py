@@ -103,8 +103,8 @@ def _snic_point_under_offload(
 
     Swaps the SNIC CPU calibration for the duration of the measurement
     and always restores it — required both for the in-process serial
-    path and for pooled workers, whose module state persists across
-    units.  RNG substreams rebuild from ``(seed, salt)`` exactly as the
+    path and for forked workers, whose module state persists across
+    the units of a batch.  RNG substreams rebuild from ``(seed, salt)`` exactly as the
     serial loop's ``streams.fork(salt)`` derived them.
     """
     profile = get_profile(key, samples=samples)

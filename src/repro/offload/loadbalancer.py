@@ -153,6 +153,24 @@ _LONG_OPS = 192
 _FEW_SEGMENTS = 6
 
 
+def _tail_percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)``, but inf when its interpolation meets
+    an infinite sojourn.
+
+    Linear interpolation toward an inf neighbour computes ``inf - x`` or
+    ``inf * 0``, which numpy returns as nan with a RuntimeWarning.  The
+    limit is the upper neighbour: inf when the weight on it is positive,
+    the exact lower value when it is zero.  numpy's ``method="higher"``
+    is that neighbour, so every other input keeps numpy's own value bit
+    for bit.
+    """
+    with np.errstate(invalid="ignore"):
+        value = float(np.percentile(values, q))
+    if value != value:  # nan
+        return float(np.percentile(values, q, method="higher"))
+    return value
+
+
 def _first_true(bad: np.ndarray) -> int:
     """Index of the first True in a bool array, or its length."""
     if not len(bad):
@@ -631,7 +649,7 @@ def _run_policy(
         sent_to_snic=to_snic,
         sent_to_host=kept - to_snic,
         dropped=n_packets - kept,
-        p99_latency_s=float(np.percentile(latencies, 99)) if kept else float("inf"),
+        p99_latency_s=_tail_percentile(latencies, 99) if kept else float("inf"),
         mean_latency_s=float(np.mean(latencies)) if kept else float("inf"),
         snic_monitor_utilization=(
             monitor_busy / (duration * config.snic_cores) if duration else 0.0
@@ -678,7 +696,7 @@ def simulate_failover(
     windows: List[Tuple[float, float]] = []
     if snic_health is not None and hasattr(snic_health, "outage_windows"):
         windows = list(snic_health.outage_windows())
-    p999 = float(np.percentile(latencies, 99.9)) if len(latencies) else float("inf")
+    p999 = _tail_percentile(latencies, 99.9) if len(latencies) else float("inf")
     return FailoverOutcome(
         outcome=outcome,
         deadline_s=deadline_s,
@@ -826,7 +844,7 @@ def simulate_fleet(
         dropped=dropped,
         offered=n_packets,
         mean_latency_s=float(np.mean(values)),
-        p99_latency_s=float(np.percentile(values, 99)),
+        p99_latency_s=_tail_percentile(values, 99),
         deadline_s=deadline_s,
         within_deadline=within,
     )

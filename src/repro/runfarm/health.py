@@ -2,9 +2,10 @@
 
 A wall-clock deadline alone cannot distinguish "this unit is genuinely
 expensive" from "this worker is wedged" — both look like elapsed time.
-Heartbeats add the missing signal: every supervised worker runs a tiny
-daemon thread that rewrites its own heartbeat file (atomic rename) every
-``interval_s`` seconds.  The parent-side :class:`HealthMonitor` scans
+Heartbeats add the missing signal: while it runs a unit, every
+supervised worker runs a tiny daemon thread that rewrites its own
+heartbeat file (atomic rename), naming the unit, every ``interval_s``
+seconds.  The parent-side :class:`HealthMonitor` scans
 the directory and classifies:
 
 * **healthy** — beats arriving on schedule;
@@ -17,7 +18,7 @@ the directory and classifies:
   logs first.
 
 Heartbeat files are process-local (named by pid), written atomically,
-and deleted on clean worker exit, so a scan only ever sees live workers
+and deleted when the unit finishes, so a scan only ever sees busy workers
 plus the corpses of killed ones (stale files whose pid is gone are
 swept).  Each beat also records the writing process's start time (the
 Linux ``/proc`` ``starttime`` field), so a beat file whose pid has been

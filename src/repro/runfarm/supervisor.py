@@ -245,17 +245,16 @@ class SupervisedExecutor(ParallelExecutor):
       the manifest and skip-on-resume.
 
     Unpicklable units (closures) get no key: they run under supervision
-    but always re-execute — correctness is unaffected since they are
-    pure.
+    (forked workers inherit them) but always re-execute — correctness is
+    unaffected since they are pure.
     """
 
     def __init__(self, jobs: int = 1, *, manifest: RunManifest,
                  config: Optional[SupervisorConfig] = None,
                  store: Optional["ResultCache"] = None,
                  prior_done: frozenset = frozenset(),
-                 rng: Optional[np.random.Generator] = None,
-                 serial_bypass: bool = True):
-        super().__init__(jobs, serial_bypass=serial_bypass)
+                 rng: Optional[np.random.Generator] = None):
+        super().__init__(jobs)
         self.supervisor = RunSupervisor(
             manifest=manifest,
             config=config or SupervisorConfig(),

@@ -71,18 +71,15 @@ class TestStudy:
 
 
 class TestJobsIdentity:
-    def test_metrics_and_results_identical_at_any_jobs(self):
+    def test_metrics_and_results_identical_at_any_jobs(self, forked_workers):
         """Per-port fabric counters merge byte-identically at --jobs N
         (worker deltas merged in submission order)."""
 
         def run(jobs):
-            executor = ParallelExecutor(jobs)
             before = metrics.snapshot()
-            try:
-                study = run_cluster_study(streams=RandomStreams(2023),
-                                          executor=executor, **SMOKE_KW)
-            finally:
-                executor.close()
+            study = run_cluster_study(streams=RandomStreams(2023),
+                                      executor=ParallelExecutor(jobs),
+                                      **SMOKE_KW)
             delta = metrics.delta_since(before)
             fabric = {name: value
                       for name, value in delta.get("counters", {}).items()

@@ -2,7 +2,8 @@
 
 The verb runs here are the program as a user runs it: fresh
 ``python -m repro`` processes at ``--smoke`` (with the flag paths folded
-into them), and the default ``report`` in-process under both engines.
+into them), and the default ``report`` in-process under both engines
+and at ``--jobs 2``.
 Each runs under a C-level :class:`cProfile.Profile`, which records every
 code object under ``src/repro`` that was entered.  The cold-start and
 golden tests check what the runs print; ``tests/test_module_graph.py``
@@ -295,7 +296,17 @@ def verb_run(runs: ExecutionRecord, name: str) -> Tuple[
     return runs.result(name), runs.workdir / f"{name}.json"
 
 
-# -- the default report, in-process under both engines ------------------------
+@pytest.fixture
+def forked_workers(monkeypatch):
+    """``--jobs > 1`` forks its workers on any host: two usable cores,
+    and no batch is too small to fork for."""
+    from repro.core import executor
+
+    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
+    monkeypatch.setattr(executor, "MIN_PARALLEL_SECONDS", 0.0)
+
+
+# -- the default report, in-process: both engines, and --jobs 2 ---------------
 
 def _record_report(execution: ExecutionRecord, argv):
     """Run ``main(argv)`` recorded; return its status and counters.
@@ -322,6 +333,21 @@ def hybrid_report(tmp_path_factory, execution):
     target = tmp_path_factory.mktemp("report") / "report.md"
     status, counters = _record_report(execution,
                                       ["report", "-o", str(target)])
+    return status, target.read_text(), counters
+
+
+@pytest.fixture(scope="session")
+def hybrid_report_jobs2(tmp_path_factory, execution):
+    """The default ``report`` at ``--jobs 2``, with every batch of more
+    than one unit on forked workers whatever the host's core count."""
+    from repro.core import executor
+
+    target = tmp_path_factory.mktemp("report-jobs2") / "report.md"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "usable_cpu_count", lambda: 2)
+        patch.setattr(executor, "MIN_PARALLEL_SECONDS", 0.0)
+        status, counters = _record_report(
+            execution, ["--jobs", "2", "report", "-o", str(target)])
     return status, target.read_text(), counters
 
 

@@ -3,12 +3,15 @@
 The contract under test is the one DESIGN.md promises: ``--jobs N`` is a
 wall-clock knob, never a results knob.  Every work unit re-derives its
 RNG substreams from ``(seed, name)``, so the same units produce the same
-bytes whether they run in-process or in a worker pool.
+bytes whether they run in-process or in forked workers.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import signal
+import time
 
 import pytest
 
@@ -25,8 +28,8 @@ from repro.core.rng import RandomStreams
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.measurement import compute_operating_point
 
-# Cheap keys: tiny profiles, fast ladders.  Enough to exercise the pool
-# without making the suite slow.
+# Cheap keys: tiny profiles, fast ladders.  Enough to exercise the
+# workers without making the suite slow.
 CHEAP_KEYS = ("udp:64", "dpdk:64")
 SAMPLES = 20
 N_REQUESTS = 600
@@ -45,9 +48,33 @@ def _fresh_cache():
     trace.disable()
 
 
-# Module-level so it pickles for the process pool.
 def _square(value):
     return value * value
+
+
+def _pid(_index):
+    return os.getpid()
+
+
+def _sleep_then_return(duration_s, value):
+    time.sleep(duration_s)
+    return value
+
+
+def _raise_value_error(message):
+    raise ValueError(message)
+
+
+def _kill_self(value):
+    os.kill(os.getpid(), signal.SIGKILL)
+    return value  # never reached
+
+
+def _die_in_worker(parent_pid, n):
+    """SIGKILL a forked worker; run normally in the parent."""
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _bump_dotted_counters(n)
 
 
 def _bump_dotted_counters(n):
@@ -104,7 +131,7 @@ class TestMapEquivalence:
         parallel = ParallelExecutor(jobs=3).map(units)
         assert parallel == serial
 
-    def test_unpicklable_units_fall_back_to_serial(self):
+    def test_unpicklable_units_run_in_forked_workers(self, forked_workers):
         captured = []
 
         def closure(value):  # not picklable: local closure
@@ -113,10 +140,8 @@ class TestMapEquivalence:
 
         units = [WorkUnit(name=f"c{i}", fn=closure, args=(i,))
                  for i in range(3)]
-        executor = ParallelExecutor(jobs=2)
-        assert executor.map(units) == [1, 2, 3]
-        assert executor.fallbacks == 1
-        assert captured == [0, 1, 2]
+        assert ParallelExecutor(jobs=2).map(units) == [1, 2, 3]
+        assert captured == []  # the workers inherited the closure
 
 
 class TestCounterMerging:
@@ -251,146 +276,87 @@ class TestSerialBypass:
         executor = ParallelExecutor(jobs=2)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(4)]
-        try:
-            executor.map(units)  # first batch: no estimate yet, goes wide
-            assert executor._seconds_per_unit is not None
-            # The decision reads only the estimate, so set it from fixed
-            # batch timings instead of this host's fork and run times.
-            bypasses = executor.bypasses
-            executor._seconds_per_unit = None
-            executor._observe(0.001, len(units), workers=2)  # 0.5 ms/unit
-            executor.map(units)
-            assert executor.bypasses == bypasses + 1
-            executor._seconds_per_unit = None
-            executor._observe(1.0, len(units), workers=2)  # 0.5 s/unit
-            executor.map(units)
-            assert executor.bypasses == bypasses + 1
-        finally:
-            executor.close()
+        executor.map(units)  # first batch: no estimate yet, goes wide
+        assert executor._seconds_per_unit is not None
+        # The decision reads only the estimate, so set it from fixed
+        # batch timings instead of this host's fork and run times.
+        bypasses = executor.bypasses
+        executor._seconds_per_unit = None
+        executor._observe(0.001, len(units), workers=2)  # 0.5 ms/unit
+        executor.map(units)
+        assert executor.bypasses == bypasses + 1
+        executor._seconds_per_unit = None
+        executor._observe(1.0, len(units), workers=2)  # 0.5 s/unit
+        executor.map(units)
+        assert executor.bypasses == bypasses + 1
 
-    def test_knob_disables_bypass(self, monkeypatch):
+    def test_bypass_results_identical_to_pool(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
-        executor = ParallelExecutor(jobs=2, serial_bypass=False)
-        units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
-                 for i in range(4)]
-        try:
-            assert executor.map(units) == [0, 1, 4, 9]
-            assert executor.bypasses == 0
-            assert executor._pool is not None  # the pool really ran
-        finally:
-            executor.close()
-
-    def test_bypass_results_identical_to_pool(self):
         units = [
             WorkUnit(name=f"draw:{i}", fn=_unit_seeded_draw,
                      args=(f"draw:{i}", SEED))
             for i in range(5)
         ]
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
         bypassed = ParallelExecutor(jobs=4).map(units)
-        with ParallelExecutor(jobs=4, serial_bypass=False) as pooled:
-            assert pooled.map(units) == bypassed
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 2)
+        monkeypatch.setattr(executor_module, "MIN_PARALLEL_SECONDS", 0.0)
+        forked = ParallelExecutor(jobs=4)
+        assert forked.map(units) == bypassed
+        assert forked.bypasses == 0
 
 
-class TestPoolReuse:
-    def test_pool_persists_across_map_calls(self):
-        with ParallelExecutor(jobs=2, serial_bypass=False) as executor:
-            units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
-                     for i in range(4)]
-            executor.map(units)
-            first_pool = executor._pool
-            assert first_pool is not None
-            executor.map(units)
-            assert executor._pool is first_pool
+class TestWorkerLoop:
+    """Workers are forked per batch and take one unit at a time."""
 
-    def test_close_shuts_down_and_next_map_rebuilds(self):
-        executor = ParallelExecutor(jobs=2, serial_bypass=False)
-        units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
+    def test_at_most_jobs_workers_per_batch(self, forked_workers):
+        units = [WorkUnit(name=f"p{i}", fn=_pid, args=(i,))
+                 for i in range(12)]
+        pids = ParallelExecutor(jobs=2).map(units)
+        assert len(pids) == 12
+        assert 1 <= len(set(pids)) <= 2
+        assert os.getpid() not in pids
+
+    def test_each_batch_forks_fresh_workers(self, forked_workers):
+        executor = ParallelExecutor(jobs=2)
+        units = [WorkUnit(name=f"p{i}", fn=_pid, args=(i,))
                  for i in range(4)]
-        try:
-            executor.map(units)
-            executor.close()
-            assert executor._pool is None
-            assert executor.map(units) == [0, 1, 4, 9]
-            assert executor._pool is not None
-        finally:
-            executor.close()
+        first = set(executor.map(units))
+        second = set(executor.map(units))
+        assert not first & second  # the first batch's workers exited
 
-    def test_context_manager_closes(self):
-        with ParallelExecutor(jobs=2, serial_bypass=False) as executor:
-            executor.map([WorkUnit(name="u", fn=_square, args=(2,)),
-                          WorkUnit(name="v", fn=_square, args=(3,))])
-        assert executor._pool is None
-
-
-class TestChunking:
-    def test_many_units_one_chunk_per_worker_slot(self):
-        # 40 units over 2 workers -> at most workers*4 chunks, and the
-        # results still come back flat, in submission order.
-        units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
-                 for i in range(40)]
-        with ParallelExecutor(jobs=2, serial_bypass=False) as executor:
-            assert executor.map(units) == [i * i for i in range(40)]
-
-    def test_chunked_counters_merge_exactly(self):
+    def test_counters_merge_exactly(self, forked_workers):
         units = [WorkUnit(name=f"bump{i}", fn=_bump_dotted_counters,
                           args=(i + 1,)) for i in range(10)]
-        metrics.reset()
-        with ParallelExecutor(jobs=2, serial_bypass=False) as executor:
-            executor.map(units)
+        assert ParallelExecutor(jobs=2).map(units) == list(range(1, 11))
         assert metrics.counter("sim.events_fired").value == sum(range(1, 11))
         assert (metrics.counter("custom.widget.count").value
                 == 2 * sum(range(1, 11)))
 
-
-class TestBrokenPoolRecovery:
-    def test_dead_pool_reruns_serially_without_double_count(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.core.executor as executor_module
-
-        executor = ParallelExecutor(jobs=2, serial_bypass=False)
+    def test_killed_worker_costs_only_its_unit(self, forked_workers):
         units = [WorkUnit(name=f"bump{i}", fn=_bump_dotted_counters,
-                          args=(i + 1,)) for i in range(4)]
+                          args=(i + 1,)) for i in range(5)]
+        units[2] = WorkUnit(name="victim", fn=_die_in_worker,
+                            args=(os.getpid(), 3))
+        assert ParallelExecutor(jobs=2).map(units) == [1, 2, 3, 4, 5]
+        # The victim reran here; nothing was merged twice.
+        assert metrics.counter("sim.events_fired").value == 15
+        assert metrics.counter("custom.widget.count").value == 30
+        assert metrics.counter(metrics.RUNFARM_WORKER_LOST).value == 1
 
-        class _DeadPool:
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("worker died")
-
-            def shutdown(self, *args, **kwargs):
-                pass
-
-        executor._pool = _DeadPool()
-        metrics.reset()
-        try:
-            assert executor.map(units) == [1, 2, 3, 4]
-            # Counters were merged exactly once (by the serial rerun).
-            assert metrics.counter("sim.events_fired").value == 10
-            assert executor.pool_restarts == 1
-            assert executor._pool is None  # dead pool was torn down
-        finally:
-            executor.close()
-
-
-# Module-level helpers for the supervised path (must pickle).
-def _sleep_then_return(duration_s, value):
-    import time as _time
-
-    _time.sleep(duration_s)
-    return value
-
-
-def _raise_value_error(message):
-    raise ValueError(message)
-
-
-def _kill_self(value):
-    import os as _os
-    import signal as _signal
-
-    _os.kill(_os.getpid(), _signal.SIGKILL)
-    return value  # never reached
+    def test_plain_map_reraises_the_units_own_exception(self,
+                                                        forked_workers):
+        units = [WorkUnit(name="a", fn=_bump_dotted_counters, args=(1,)),
+                 WorkUnit(name="boom", fn=_raise_value_error, args=("no",)),
+                 WorkUnit(name="c", fn=_bump_dotted_counters, args=(4,))]
+        for jobs in (1, 2):
+            metrics.reset()
+            with pytest.raises(ValueError, match="no"):
+                ParallelExecutor(jobs=jobs).map(units)
+            # As at jobs=1: the units before the failing one are merged,
+            # the ones after it are not.
+            assert metrics.counter("sim.events_fired").value == 1
 
 
 class TestMapSupervised:
@@ -459,22 +425,21 @@ class TestMapSupervised:
         assert metrics.counter("sim.events_fired").value == 6
         assert metrics.counter("custom.widget.count").value == 12
 
-    def test_unpicklable_units_run_in_process(self):
+    def test_unpicklable_hang_is_killed_at_its_deadline(self):
         from repro.core.executor import UnitFailure
 
-        seen = []
+        def hang():  # not picklable: local closure
+            time.sleep(30.0)
 
-        def closure(value):
-            seen.append(value)
-            return value + 1
-
-        units = [WorkUnit(name=f"c{i}", fn=closure, args=(i,))
-                 for i in range(3)]
-        executor = ParallelExecutor(jobs=2)
-        outcomes = executor.map_supervised(units)
-        assert outcomes == [1, 2, 3]
-        assert seen == [0, 1, 2]
-        assert not any(isinstance(o, UnitFailure) for o in outcomes)
+        units = [WorkUnit(name="hang", fn=hang),
+                 WorkUnit(name="after", fn=lambda: 5)]
+        started = time.perf_counter()
+        failure, ok = ParallelExecutor(jobs=1).map_supervised(
+            units, unit_timeout_s=0.2)
+        assert time.perf_counter() - started < 10.0
+        assert isinstance(failure, UnitFailure)
+        assert failure.kind == UnitFailure.TIMEOUT
+        assert ok == 5  # a replacement worker ran the rest of the batch
 
     def test_unpicklable_raising_unit_is_typed_too(self):
         from repro.core.executor import UnitFailure

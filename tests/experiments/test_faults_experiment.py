@@ -135,7 +135,7 @@ class TestStudy:
         assert "avail" in text and "recover ms" in text
 
 
-def test_scalar_packet_count_is_the_same_at_any_jobs():
+def test_scalar_packet_count_is_the_same_at_any_jobs(forked_workers):
     # The balancer's scalar-loop count is pinned for the default report;
     # counted in forked workers, it must merge to the serial run's value.
     counts = []
@@ -143,16 +143,11 @@ def test_scalar_packet_count_is_the_same_at_any_jobs():
     try:
         for jobs in (1, 2):
             configure(ResultCache())  # cold: every unit runs its balancer
-            executor = ParallelExecutor(jobs, serial_bypass=False)
             before = metrics.snapshot()
-            try:
-                run_faults_study(functions=("redis:a", "compression:app"),
-                                 samples=SAMPLES, n_requests=REQUESTS,
-                                 n_packets=PACKETS,
-                                 streams=RandomStreams(2023),
-                                 executor=executor)
-            finally:
-                executor.close()
+            run_faults_study(functions=("redis:a", "compression:app"),
+                             samples=SAMPLES, n_requests=REQUESTS,
+                             n_packets=PACKETS, streams=RandomStreams(2023),
+                             executor=ParallelExecutor(jobs))
             counts.append(metrics.counter_delta(metrics.delta_since(before),
                                                 M_SCALAR_PACKETS))
     finally:

@@ -204,17 +204,14 @@ def _help_lines(text):
 
 
 class TestExecutorIntegration:
-    def test_help_survives_families_first_created_in_workers(self):
+    def test_help_survives_families_first_created_in_workers(
+            self, forked_workers):
         expositions = []
         for jobs in (1, 2):
             metrics.reset()
-            executor = ParallelExecutor(jobs, serial_bypass=False)
-            try:
-                units = [WorkUnit(name=f"doc:{i}", fn=_documented_unit,
-                                  args=(i,)) for i in range(4)]
-                executor.map(units)
-            finally:
-                executor.close()
+            units = [WorkUnit(name=f"doc:{i}", fn=_documented_unit,
+                              args=(i,)) for i in range(4)]
+            ParallelExecutor(jobs).map(units)
             expositions.append(render(metrics.registry()))
         assert _help_lines(expositions[0]) == [
             "# HELP repro_test_documented units that ran",
@@ -222,18 +219,13 @@ class TestExecutorIntegration:
         ]
         assert expositions[1] == expositions[0]
 
-    def test_metrics_byte_identical_jobs_1_vs_4(self):
+    def test_metrics_byte_identical_jobs_1_vs_4(self, forked_workers):
         expositions = []
         for jobs in (1, 4):
             metrics.reset()
-            metrics.reset()
-            executor = ParallelExecutor(jobs, serial_bypass=False)
-            try:
-                units = [WorkUnit(name=f"obs:{i}", fn=_observing_unit,
-                                  args=(i,)) for i in range(8)]
-                results = executor.map(units)
-            finally:
-                executor.close()
+            units = [WorkUnit(name=f"obs:{i}", fn=_observing_unit,
+                              args=(i,)) for i in range(8)]
+            results = ParallelExecutor(jobs).map(units)
             assert results == list(range(8))
             assert metrics.registry().counter("test.units").value == 8
             expositions.append(render(metrics.registry()))

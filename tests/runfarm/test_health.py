@@ -116,13 +116,13 @@ class TestSlowVersusHung:
     def _running_state(self, unit_name, started_ago):
         import types
 
-        from repro.core.executor import _Running, WorkUnit
+        from repro.core.executor import WorkUnit, _Worker
 
-        return _Running(
+        return _Worker(
+            proc=types.SimpleNamespace(pid=12345),
+            conn=None,
             index=0,
             unit=WorkUnit(name=unit_name, fn=lambda: None),
-            attempt=1,
-            proc=types.SimpleNamespace(pid=12345),
             started=time.perf_counter() - started_ago,
         )
 
@@ -138,7 +138,7 @@ class TestSlowVersusHung:
         state = self._running_state("u", started_ago=2.0)
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=9.0,
                                  interval_s=0.25, alive=True)}
-        executor._check_health(self._StubMonitor(beats), {"c": state}, None)
+        executor._check_health(self._StubMonitor(beats), [state])
         assert metrics.counter(metrics.RUNFARM_WORKERS_HUNG).value == 1
         assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 0
         assert state.reported_slow  # reported once, not every scan
@@ -148,7 +148,7 @@ class TestSlowVersusHung:
         state = self._running_state("u", started_ago=2.0)
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=0.1,
                                  interval_s=0.25, alive=True)}
-        executor._check_health(self._StubMonitor(beats), {"c": state}, None)
+        executor._check_health(self._StubMonitor(beats), [state])
         assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 1
         assert metrics.counter(metrics.RUNFARM_WORKERS_HUNG).value == 0
 
@@ -157,7 +157,7 @@ class TestSlowVersusHung:
         state = self._running_state("u", started_ago=0.5)
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=0.1,
                                  interval_s=0.25, alive=True)}
-        executor._check_health(self._StubMonitor(beats), {"c": state}, None)
+        executor._check_health(self._StubMonitor(beats), [state])
         assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 0
         assert metrics.counter(metrics.RUNFARM_WORKERS_HUNG).value == 0
 
@@ -167,8 +167,8 @@ class TestSlowVersusHung:
         beats = {"u": WorkerBeat(pid=12345, unit="u", seq=5, age_s=0.1,
                                  interval_s=0.25, alive=True)}
         monitor = self._StubMonitor(beats)
-        executor._check_health(monitor, {"c": state}, None)
-        executor._check_health(monitor, {"c": state}, None)
+        executor._check_health(monitor, [state])
+        executor._check_health(monitor, [state])
         assert metrics.counter(metrics.RUNFARM_WORKERS_SLOW).value == 1
 
 

@@ -10,8 +10,9 @@ under:
 - a supervised ``--jobs 2`` traced ``report --smoke``, whose forked
   workers record themselves; ``--resume`` of the cluster run directory,
   ``status`` and ``status --json`` on it, and ``trace fig7 --smoke``;
-- the default ``report`` in-process under both engines (the golden
-  tests' own runs).
+- the default ``report`` in-process under both engines, and at
+  ``--jobs 2`` with every batch on forked workers (the golden tests' own
+  runs).
 
 A definition is every ``def``: functions, methods and nested functions.
 It ran when a code object with its file, first line and name did; a
@@ -47,8 +48,7 @@ from repro.experiments import registry
 from tests.conftest import EXTRA_RUNS, SRC, CodeKey
 
 # Kinds of ALLOWED_UNEXECUTED entry.  Only a WORKER entry may also run:
-# whether worker-side code runs depends on the core count and on the
-# executor's timing-based serial bypass.
+# it runs in a thread of a worker, where the profiler does not follow.
 ORACLE = "test oracle"
 CHECKER = "output checker"
 PERFBENCH = "perfbench span target (ROADMAP item 1)"
@@ -147,19 +147,9 @@ ALLOWED_UNEXECUTED: Dict[str, Tuple[str, str]] = {
                                                  "a failed work unit"),
     "repro.core.executor.QuarantinedUnitError.quarantined_units": (
         ERROR, "a run that quarantined poison-pill units"),
-    "repro.core.executor.ParallelExecutor._map_supervised_inprocess": (
-        ERROR, "a supervised batch that cannot be pickled runs in-process"),
     "repro.experiments.registry.PartialResult.notice": (ERROR, (
         "a partially degraded run's notice")),
-    # Worker side: whether these run depends on the core count and on the
-    # executor's timing-based serial bypass.
-    "repro.core.executor._invoke_chunk": (WORKER, "pool worker"),
-    "repro.core.executor.ParallelExecutor._ensure_pool": (
-        WORKER, "starts the pool for a batch the bypass lets through"),
-    "repro.core.executor.ParallelExecutor._should_bypass": (
-        WORKER, "asked only at --jobs > 1 outside supervision"),
-    "repro.core.executor.ParallelExecutor._map_parallel": (
-        WORKER, "a batch the bypass lets through to the pool"),
+    # Worker side: a thread the profiler does not follow.
     "repro.runfarm.health.start_heartbeat._beat_loop": (
         WORKER, "a supervised worker's heartbeat thread"),
     "repro.obs.openmetrics.MetricsServer": (SERVER, (
@@ -485,7 +475,7 @@ def _sources() -> Dict[str, Tuple[str, str]]:
 
 
 def test_every_definition_runs_under_a_verb(fresh_runs, hybrid_report,
-                                            sim_report):
+                                            hybrid_report_jobs2, sim_report):
     for label in (*(name for name, _m, _t in registry.TABLE), *EXTRA_RUNS):
         proc = fresh_runs.result(label)
         assert proc.returncode == 0, (label, proc.stderr[-2000:])
@@ -641,7 +631,7 @@ class TestGate:
     def test_an_executed_worker_entry_passes(self):
         assert _gate(_run_synthetic(_ALL_CALLS), {
             "pkg.mod.outer.nested_never": (ORACLE, "checks outer"),
-            "pkg.mod.never": (WORKER, "runs in a pool worker")}) == []
+            "pkg.mod.never": (WORKER, "runs in a forked worker")}) == []
 
     @pytest.mark.parametrize("entry", ["pkg.mod", "pkg.mod.Box"])
     def test_an_entry_covers_what_it_encloses(self, entry):

@@ -12,6 +12,10 @@ The same run's work counters are pinned too.  Counts are deterministic,
 so a rewrite that keeps the bytes but changes the work — a probe more
 or less, one DES event or fabric packet added or dropped — fails here,
 where a timing ratio could not see it.
+
+``--jobs`` is a wall-clock knob, never a results knob: the same report
+with its batches on forked workers must print the same bytes and do the
+same work.
 """
 
 from pathlib import Path
@@ -65,3 +69,16 @@ def test_probes_split_into_simulated_and_analytic(hybrid_report):
     assert counters[obs_metrics.PROBES] == (
         counters[obs_metrics.PROBES_SIMULATED]
         + counters[obs_metrics.ANALYTIC_HITS])
+
+
+def test_report_at_jobs_2_is_the_same_bytes(hybrid_report_jobs2, capsys):
+    status, output, _ = hybrid_report_jobs2
+    capsys.readouterr()
+    assert status == 0
+    assert output == (REPO_ROOT / "EXPERIMENTS.md").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTERS))
+def test_counter_is_pinned_at_jobs_2(hybrid_report_jobs2, name):
+    _, _, counters = hybrid_report_jobs2
+    assert counters.get(name, 0) == PINNED_COUNTERS[name]
