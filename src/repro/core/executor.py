@@ -354,11 +354,17 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, int(jobs))
 
 
-# Estimated total batch work (seconds) below which fork + IPC overhead
-# beats any parallel win and the batch runs serially instead.
-MIN_PARALLEL_SECONDS = 0.05
-# EWMA smoothing for the per-unit runtime estimate behind the bypass.
+# Least wall time (seconds) a batch must be predicted to save by forking;
+# a batch predicted to save less runs in process.  -inf forks every batch.
+MIN_PARALLEL_SECONDS = 0.0
+# EWMA smoothing for the runtime estimates behind the bypass.
 _EWMA_ALPHA = 0.5
+
+
+def _ewma(estimate: Optional[float], sample: float) -> float:
+    if estimate is None:
+        return sample
+    return _EWMA_ALPHA * sample + (1 - _EWMA_ALPHA) * estimate
 
 
 class ParallelExecutor:
@@ -374,8 +380,9 @@ class ParallelExecutor:
     state a worker built for an earlier one.
 
     A **serial bypass** runs a plain batch in process when the machine
-    has one usable core or an EWMA of observed per-unit runtime prices
-    the whole batch under ~50 ms, where forking cannot win.
+    has one usable core or when forking is predicted not to pay: two
+    EWMAs, of a unit's CPU seconds and of a forked batch's fork cost,
+    price the batch both ways (:meth:`_should_bypass`).
     """
 
     def __init__(self, jobs: int = 1):
@@ -387,6 +394,7 @@ class ParallelExecutor:
         # supervisor journals these into the manifest.
         self.last_profiles: Dict[str, UnitProfile] = {}
         self._seconds_per_unit: Optional[float] = None
+        self._fork_seconds: Optional[float] = None
 
     def _effective_workers(self) -> int:
         return min(self.jobs, usable_cpu_count())
@@ -410,51 +418,68 @@ class ParallelExecutor:
         started = time.perf_counter()
         if serial:
             results = [_run_here(unit) for unit in units]
-            self._observe(time.perf_counter() - started, len(units), workers=1)
+            self._observe(time.perf_counter() - started, len(units))
             return results
-        results = []
+        results, cpu = [], []
         for unit, slot in zip(units, self._dispatch(units)):
             if isinstance(slot, UnitFailure):
                 results.append(_run_here(unit))
                 continue
-            (result, delta, events), _cpu_s, _wall_s = slot
+            (result, delta, events), cpu_s, _wall_s = slot
             _merge(unit, delta, events)
+            cpu.append(cpu_s)
             results.append(result)
-        self._observe(time.perf_counter() - started, len(units),
-                      workers=self._effective_workers())
+        self._observe(time.perf_counter() - started, len(units), cpu)
         return results
 
     def _should_bypass(self, n_units: int) -> bool:
-        if self._effective_workers() <= 1:
+        """Run this batch in process rather than fork for it?
+
+        Forking spreads the batch's work over ``width`` workers, so it
+        saves ``work * (1 - 1/width)``, and it costs the fork cost the
+        last forked batches measured.  Before any estimate the batch
+        forks, which measures both.
+        """
+        width = min(self._effective_workers(), n_units)
+        if width <= 1:
             logger.debug("single usable core; running %d units serially",
                          n_units)
             return True
-        if (self._seconds_per_unit is not None
-                and self._seconds_per_unit * n_units < MIN_PARALLEL_SECONDS):
+        if self._seconds_per_unit is None:
+            return False
+        work = self._seconds_per_unit * n_units
+        saving = work * (1 - 1 / width) - (self._fork_seconds or 0.0)
+        if saving < MIN_PARALLEL_SECONDS:
             logger.debug(
-                "batch of %d units estimated at %.1f ms total; below the "
-                "%.0f ms fork threshold, running serially", n_units,
-                self._seconds_per_unit * n_units * 1e3,
-                MIN_PARALLEL_SECONDS * 1e3)
+                "batch of %d units estimated at %.1f ms of work; forking "
+                "%d workers would save %.1f ms, running serially", n_units,
+                work * 1e3, width, saving * 1e3)
             return True
         return False
 
-    def _observe(self, elapsed: float, n_units: int, workers: int) -> None:
-        """Fold a batch timing into the per-unit runtime EWMA.
+    def _observe(self, elapsed: float, n_units: int,
+                 cpu_s: Optional[Sequence[float]] = None) -> None:
+        """Fold a batch timing into the bypass estimates.
 
-        A parallel batch's wall time is divided across ``workers``, so
-        the per-unit cost it implies is ``elapsed * workers / n``.  Only
-        the bypass heuristic and the slow-worker check read this —
-        never results.
+        An in-process batch prices a unit at ``elapsed / n``.  A forked
+        batch prices it at the CPU seconds its workers report, and books
+        the rest of its wall time, ``elapsed - sum(cpu_s) / width``, as
+        the fork cost: forking, worker start-up, IPC, and whatever the
+        host lost running the workers side by side.  Only the bypass and
+        the slow-worker check read these, never results.
         """
-        if n_units <= 0:
+        if cpu_s is None:
+            if n_units > 0:
+                self._seconds_per_unit = _ewma(self._seconds_per_unit,
+                                               elapsed / n_units)
             return
-        sample = elapsed * workers / n_units
-        if self._seconds_per_unit is None:
-            self._seconds_per_unit = sample
-        else:
-            self._seconds_per_unit = (_EWMA_ALPHA * sample
-                                      + (1 - _EWMA_ALPHA) * self._seconds_per_unit)
+        if not cpu_s:
+            return
+        width = min(self._effective_workers(), n_units)
+        self._seconds_per_unit = _ewma(self._seconds_per_unit,
+                                       sum(cpu_s) / len(cpu_s))
+        self._fork_seconds = _ewma(self._fork_seconds,
+                                   max(0.0, elapsed - sum(cpu_s) / width))
 
     # -- supervised execution (deadlines, kills, typed failures) -------------
 
@@ -498,7 +523,7 @@ class ParallelExecutor:
                 sim_events=metrics.counter_delta(delta, metrics.EVENTS_FIRED))
             results.append(result)
         self._observe(time.perf_counter() - started, len(units),
-                      workers=self._effective_workers())
+                      [p.cpu_s for p in self.last_profiles.values()])
         return results
 
     # -- the dispatch loop ----------------------------------------------------

@@ -34,7 +34,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..obs import metrics
 
@@ -169,7 +169,9 @@ class HealthMonitor:
     def __init__(self, heartbeat_dir: str):
         self.heartbeat_dir = heartbeat_dir
         self.total_beats = 0
-        self._last_seq: Dict[int, int] = {}
+        # Keyed by (pid, unit): a worker runs many units, and each unit's
+        # beats count from 0.
+        self._last_seq: Dict[Tuple[int, str], int] = {}
 
     def scan(self, now: Optional[float] = None) -> Dict[str, WorkerBeat]:
         """Read every heartbeat file; returns beats keyed by unit name.
@@ -193,6 +195,7 @@ class HealthMonitor:
             except (OSError, json.JSONDecodeError):
                 continue  # mid-rename or torn file: next scan sees it
             pid = int(payload.get("pid", 0))
+            unit = str(payload.get("unit", ""))
             seq = int(payload.get("seq", 0))
             alive = _pid_alive(pid)
             if alive:
@@ -211,14 +214,14 @@ class HealthMonitor:
                     os.unlink(path)
                 except OSError:
                     pass
-            new_beats = seq - self._last_seq.get(pid, -1)
+            new_beats = seq - self._last_seq.get((pid, unit), -1)
             if new_beats > 0:
                 self.total_beats += new_beats
                 metrics.counter(metrics.RUNFARM_HEARTBEATS).inc(new_beats)
-            self._last_seq[pid] = seq
-            beats[str(payload.get("unit", ""))] = WorkerBeat(
+            self._last_seq[(pid, unit)] = seq
+            beats[unit] = WorkerBeat(
                 pid=pid,
-                unit=str(payload.get("unit", "")),
+                unit=unit,
                 seq=seq,
                 age_s=max(0.0, now - float(payload.get("ts_unix", now))),
                 interval_s=float(payload.get("interval_s",

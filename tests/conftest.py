@@ -303,7 +303,7 @@ def forked_workers(monkeypatch):
     from repro.core import executor
 
     monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
-    monkeypatch.setattr(executor, "MIN_PARALLEL_SECONDS", 0.0)
+    monkeypatch.setattr(executor, "MIN_PARALLEL_SECONDS", float("-inf"))
 
 
 # -- the default report, in-process: both engines, and --jobs 2 ---------------
@@ -345,7 +345,7 @@ def hybrid_report_jobs2(tmp_path_factory, execution):
     target = tmp_path_factory.mktemp("report-jobs2") / "report.md"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor, "usable_cpu_count", lambda: 2)
-        patch.setattr(executor, "MIN_PARALLEL_SECONDS", 0.0)
+        patch.setattr(executor, "MIN_PARALLEL_SECONDS", float("-inf"))
         status, counters = _record_report(
             execution, ["--jobs", "2", "report", "-o", str(target)])
     return status, target.read_text(), counters

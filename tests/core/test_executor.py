@@ -278,17 +278,29 @@ class TestSerialBypass:
                  for i in range(4)]
         executor.map(units)  # first batch: no estimate yet, goes wide
         assert executor._seconds_per_unit is not None
-        # The decision reads only the estimate, so set it from fixed
-        # batch timings instead of this host's fork and run times.
+        assert executor._fork_seconds is not None
+        # The decision reads only the estimates, so set them from fixed
+        # forked-batch timings instead of this host's fork and run times.
         bypasses = executor.bypasses
-        executor._seconds_per_unit = None
-        executor._observe(0.001, len(units), workers=2)  # 0.5 ms/unit
+        executor._seconds_per_unit = executor._fork_seconds = None
+        # 40 ms of work on 2 workers saves 20 ms; the batch lost 30 ms.
+        executor._observe(0.050, len(units), [0.010] * 4)
+        assert executor._fork_seconds == pytest.approx(0.030)
         executor.map(units)
         assert executor.bypasses == bypasses + 1
-        executor._seconds_per_unit = None
-        executor._observe(1.0, len(units), workers=2)  # 0.5 s/unit
+        # The same work, forked for 5 ms: forking pays.
+        executor._seconds_per_unit = executor._fork_seconds = None
+        executor._observe(0.025, len(units), [0.010] * 4)
         executor.map(units)
         assert executor.bypasses == bypasses + 1
+
+    def test_fork_cost_is_not_priced_as_unit_work(self):
+        executor = ParallelExecutor(jobs=2)
+        # Four 10 ms units came back from workers after 60 ms of wall.
+        executor._observe(0.060, 4, [0.010] * 4)
+        assert executor._seconds_per_unit == pytest.approx(0.010)
+        executor._observe(0.030, 3)  # in process: 10 ms a unit
+        assert executor._seconds_per_unit == pytest.approx(0.010)
 
     def test_bypass_results_identical_to_pool(self, monkeypatch):
         import repro.core.executor as executor_module
@@ -301,7 +313,8 @@ class TestSerialBypass:
         monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
         bypassed = ParallelExecutor(jobs=4).map(units)
         monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 2)
-        monkeypatch.setattr(executor_module, "MIN_PARALLEL_SECONDS", 0.0)
+        monkeypatch.setattr(executor_module, "MIN_PARALLEL_SECONDS",
+                            float("-inf"))
         forked = ParallelExecutor(jobs=4)
         assert forked.map(units) == bypassed
         assert forked.bypasses == 0

@@ -254,6 +254,32 @@ class TestHeartbeatThread:
         finally:
             stop()
 
+    def test_one_worker_beats_for_each_of_its_units(self, tmp_path):
+        # A worker's beats restart at seq 0 for every unit it runs.
+        monitor = HealthMonitor(str(tmp_path))
+        for seq in range(4):
+            write_beat(str(tmp_path), "unit-a", seq=seq)
+            monitor.scan()
+        for seq in range(3):
+            write_beat(str(tmp_path), "unit-b", seq=seq)
+            monitor.scan()
+        assert monitor.total_beats == 7
+        assert metrics.counter(metrics.RUNFARM_HEARTBEATS).value == 7
+
+    def test_supervised_worker_counts_every_units_beats(self, tmp_path,
+                                                        monkeypatch):
+        from repro.core import executor
+        from repro.core.executor import ParallelExecutor, WorkUnit
+
+        # Each unit writes only its synchronous first beat (seq 0), and
+        # lives for several of the parent's scans.
+        monkeypatch.setattr(executor, "HEARTBEAT_INTERVAL_S", 60.0)
+        units = [WorkUnit(name=f"u{i}", fn=time.sleep, args=(0.2,))
+                 for i in range(3)]
+        runner = ParallelExecutor(jobs=1)  # one worker runs all three
+        runner.map_supervised(units, heartbeat_dir=str(tmp_path))
+        assert metrics.counter(metrics.RUNFARM_HEARTBEATS).value == 3
+
     def test_beat_payload_shape(self, tmp_path):
         write_beat(str(tmp_path), "unit-a", seq=2, interval_s=0.5)
         path = tmp_path / f"{os.getpid()}.json"
