@@ -261,8 +261,8 @@ def render_report(anchor_rows: Sequence[AnchorRow], verdict_text: str,
         "(DESIGN.md §9).  Analytic answers are only reported inside a",
         "simulation-validated trust region, far from the knee; every",
         "verdict-deciding quantity below is simulation-backed, and",
-        "`--engine sim` simulates every probe, keeping each measured",
-        "number byte-identical to the pre-hybrid output.",
+        "`--engine sim` simulates every probe on the same rate ladders, so a",
+        "number moves between the engines only by the analytic error.",
         "",
         "**Partial results never produce a verdict.**  Under run-farm",
         "supervision (DESIGN.md §11) a consistently failing work unit can be",

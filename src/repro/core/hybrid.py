@@ -29,8 +29,10 @@ from typing import Optional
 ENGINE_HYBRID = "hybrid"
 ENGINE_SIM = "sim"
 ENGINES = (ENGINE_HYBRID, ENGINE_SIM)
-# The validated fast path is the default; ``--engine sim`` restores the
-# pure-simulation behaviour (byte-identical to the pre-hybrid output).
+# The validated fast path is the default.  ``--engine sim`` runs the
+# same rate ladders with every rung simulated (an empty trust region),
+# so the two engines differ only where hybrid answers a rung
+# analytically.
 DEFAULT_ENGINE = ENGINE_HYBRID
 
 

@@ -614,8 +614,8 @@ def lindley_waits_stacked(gaps: np.ndarray, services: np.ndarray) -> np.ndarray:
     return cumulative - floor
 
 
-def _unit_gaps(
-    n_requests: int, rng: np.random.Generator, arrival_cv: float
+def draw_unit_gaps(
+    n_requests: int, rng: np.random.Generator, arrival_cv: float = 1.0
 ) -> np.ndarray:
     """Rate-free interarrival gaps (mean 1); divide by a rate to use.
 
@@ -631,38 +631,43 @@ def _unit_gaps(
     return rng.gamma(shape, 1.0 / shape, size=n_requests)
 
 
-def simulate_gg1_ladder(
-    rates,
-    service_sampler: ServiceSampler,
-    n_requests: int,
-    rng: np.random.Generator,
-    arrival_cv: float = 1.0,
-    queue_limit: Optional[float] = None,
-    min_served_rates=None,
-) -> list:
-    """Simulate a whole rate ladder against one shared set of draws.
-
-    One unit-mean gap array and one service array are sampled once and
-    shared by every rung (``rates[r]`` scales the gaps); the no-drop
-    waits of all rungs are computed in a single stacked Lindley pass and
-    only rungs whose optimistic waits overflow ``queue_limit`` pay the
-    per-row bounded-buffer fixed point.  Returns one
-    :class:`QueueOutcome` per rate, same semantics as per-rate
-    :func:`simulate_gg1` calls (over different, shared, draws).
-    ``min_served_rates`` gives each rung an optional served-rate floor
-    (None entries simulate in full); a rung that provably misses its
-    floor comes back :class:`Overloaded`.
-    """
+def _ladder_rates(rates) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or len(rates) == 0:
         raise ValueError("rates must be a non-empty 1-D sequence")
     if np.any(rates <= 0):
         raise ValueError("rates must be positive")
-    unit = _unit_gaps(n_requests, rng, arrival_cv)
-    services = np.asarray(service_sampler(rng, n_requests), dtype=float)
+    return rates
+
+
+def simulate_gg1_ladder(
+    rates,
+    unit_gaps: np.ndarray,
+    services: np.ndarray,
+    queue_limit: Optional[float] = None,
+    min_served_rates=None,
+) -> list:
+    """Simulate a whole rate ladder against one shared set of draws.
+
+    ``unit_gaps`` (from :func:`draw_unit_gaps`) and ``services`` are
+    drawn once by the caller and shared by every rung (``rates[r]``
+    scales the gaps); the no-drop waits of all rungs are computed in a
+    single stacked Lindley pass and only rungs whose optimistic waits
+    overflow ``queue_limit`` pay the per-row bounded-buffer fixed point.
+    Returns one :class:`QueueOutcome` per rate, same semantics as
+    per-rate :func:`simulate_gg1` calls (over different, shared, draws).
+    ``min_served_rates`` gives each rung an optional served-rate floor
+    (None entries simulate in full); a rung that provably misses its
+    floor comes back :class:`Overloaded`.  Every row is computed alone,
+    so a ladder split over several calls on the same draws gives the
+    same rungs bit for bit.
+    """
+    rates = _ladder_rates(rates)
+    n_requests = len(unit_gaps)
+    services = np.asarray(services, dtype=float)
     if services.shape != (n_requests,):
-        raise ValueError("service sampler returned wrong shape")
-    gaps = unit[None, :] / rates[:, None]
+        raise ValueError("services must match the gaps' length")
+    gaps = unit_gaps[None, :] / rates[:, None]
     arrivals = np.cumsum(gaps, axis=1)
     waits = lindley_waits_stacked(gaps, services)
     outcomes = []
@@ -705,16 +710,14 @@ def simulate_gg1_ladder(
 def simulate_sharded_ladder(
     rates,
     cores: int,
-    service_sampler: ServiceSampler,
-    n_requests: int,
-    rng: np.random.Generator,
-    arrival_cv: float = 1.0,
+    unit_gaps: np.ndarray,
+    services: np.ndarray,
     queue_limit: Optional[float] = None,
     min_served_rates=None,
 ) -> list:
     """Ladder variant of :func:`simulate_sharded`: one shard per rung,
-    every rung sharing the same sampled draws (``min_served_rates`` are
-    system rates, shared out like ``rates``)."""
+    every rung sharing the same draws (``min_served_rates`` are system
+    rates, shared out like ``rates``)."""
     if cores < 1:
         raise ValueError("cores must be >= 1")
     shard_rates = np.asarray(rates, dtype=float) / cores
@@ -723,8 +726,7 @@ def simulate_sharded_ladder(
         shard_floors = [None if floor is None else floor / cores
                         for floor in min_served_rates]
     return simulate_gg1_ladder(
-        shard_rates, service_sampler, n_requests, rng, arrival_cv, queue_limit,
-        shard_floors,
+        shard_rates, unit_gaps, services, queue_limit, shard_floors,
     )
 
 
@@ -756,35 +758,27 @@ def simulate_batch_server(
 
 def simulate_batch_server_ladder(
     rates,
-    n_requests: int,
-    rng: np.random.Generator,
+    unit_arrivals: np.ndarray,
     batch_size: int,
     batch_timeout: float,
     setup_time: float,
     per_item_time: float,
-    arrival_cv: float = 1.0,
 ) -> list:
     """Ladder variant of :func:`simulate_batch_server`.
 
-    One unit-mean gap array is drawn and shared by every rung (the
-    arrival prefix sums scale linearly in the mean gap); the batch
-    chaining itself stays per-rung since dispatch boundaries depend on
-    the absolute arrival times.
+    ``unit_arrivals`` is the prefix sum of one unit-mean gap draw
+    (:func:`draw_unit_gaps`), shared by every rung: arrival times scale
+    linearly in the mean gap.  The batch chaining itself stays per-rung
+    since dispatch boundaries depend on the absolute arrival times.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or len(rates) == 0:
-        raise ValueError("rates must be a non-empty 1-D sequence")
-    if np.any(rates <= 0):
-        raise ValueError("rates must be positive")
-    unit_arrivals = np.cumsum(_unit_gaps(n_requests, rng, arrival_cv))
     return [
         _batch_outcome_from_arrivals(
             unit_arrivals / rate, batch_size, batch_timeout,
             setup_time, per_item_time,
         )
-        for rate in rates
+        for rate in _ladder_rates(rates)
     ]
 
 

@@ -19,7 +19,7 @@ from ..core.cache import cache_key
 from ..core.executor import ParallelExecutor, WorkUnit, map_cached
 from ..core.rng import RandomStreams
 from ..core.units import gbps_to_bytes_per_second
-from .measurement import ACCEL_PLATFORM, run_fixed_rate, run_validated_ladder
+from .measurement import ACCEL_PLATFORM, run_ladder, run_validated_ladder
 from .profiles import FunctionProfile, get_profile
 from .registry import Experiment, ExperimentContext, register, smoke_tier
 
@@ -77,12 +77,9 @@ def measure_series(
         per_rate = run_validated_ladder(profile, platform, rates, streams,
                                         n_requests)
     else:
-        # Legacy per-probe loop: each rate draws its own substream, which
-        # is the byte-identical pre-hybrid behaviour.
-        per_rate = [
-            run_fixed_rate(profile, platform, rate, streams, n_requests)
-            for rate in rates
-        ]
+        # The same ladder with every rate simulated: a rung the hybrid
+        # engine simulates has the same bits here.
+        per_rate = run_ladder(profile, platform, rates, streams, n_requests)
     for gbps, metrics in zip(rates_gbps, per_rate):
         series.points.append(
             Fig5Point(
@@ -108,11 +105,11 @@ def compute_series(
 ) -> Fig5Series:
     """Picklable work unit: one Fig. 5 curve from primitives.
 
-    Rebuilds the profile and a fresh ``RandomStreams(seed)``; every rate
-    point derives its substream from ``(seed, key:platform:rate)`` (or a
-    single shared ladder substream under the hybrid engine), so the
-    curve is independent of which process — or position in the batch —
-    computes it.
+    Rebuilds the profile and a fresh ``RandomStreams(seed)``; every
+    simulated rate point draws from the curve's one
+    ``(seed, key:platform:ladder)`` substream, so the curve is
+    independent of which process — or position in the batch — computes
+    it.
     """
     profile = get_profile(f"rem:{ruleset}@mtu", samples=samples)
     return measure_series(

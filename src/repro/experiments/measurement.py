@@ -40,6 +40,7 @@ from ..core.queueing import (
     Overloaded,
     outcome_to_metrics,
     outcome_to_verdict,
+    draw_unit_gaps,
     simulate_batch_server,
     simulate_batch_server_ladder,
     simulate_sharded,
@@ -67,6 +68,13 @@ LADDER_FACTORS = np.geomspace(0.3, 1.45, 12)
 # A knee rung is acceptable while it serves at least this fraction of
 # its offered rate (the paper's "maximum sustainable throughput").
 ACCEPTABLE_SERVED_FRACTION = 0.95
+# The most rungs one stacked kernel pass holds.  A ladder's rungs are
+# independent rows over its shared draws, so a longer ladder (every
+# 12-rung knee and 15-rung Fig. 5 curve under ``--engine sim``) runs in
+# passes of this many, each converted before the next is built: the
+# same bits with at most this many rungs' (rungs x requests) arrays
+# alive.  The hybrid engine's windows fit in one pass.
+_STACK_RUNGS = 6
 
 
 class MeasurementError(RuntimeError):
@@ -257,15 +265,11 @@ def _run_fixed_rate(
         raise MeasurementError(f"{profile.key} does not run on {platform}")
 
     rng = streams.stream(f"{profile.key}:{platform}:{rate:.6g}")
-    calibration = PLATFORMS[platform]
     services = cpu_service_seconds(profile, platform)
     cores = cpu_cores(profile, platform)
     nic_cap = _nic_cap_rps(profile)
     effective_rate = min(rate, nic_cap)
-    queue_limit = QUEUE_LIMIT_S
-    if profile.stack is not None:
-        queue_limit = calibration.stacks[profile.stack].queue_limit_s
-    queue_limit = max(queue_limit, QUEUE_LIMIT_SERVICES * float(np.mean(services)))
+    queue_limit = _cpu_queue_limit(profile, platform, services)
 
     def sampler(sampler_rng: np.random.Generator, n: int) -> np.ndarray:
         return sampler_rng.choice(services, size=n)
@@ -277,17 +281,22 @@ def _run_fixed_rate(
     if isinstance(outcome, Overloaded):
         return outcome
     outcome = _add_fixed_latency(outcome, profile, platform, rng)
-    metrics = _rung_metrics(outcome, rate, profile, cores, verdict_only)
-    if rate > nic_cap:
-        # Wire-rate clipping: the excess never reaches the server.
-        metrics.completed_rate = min(metrics.completed_rate, nic_cap)
-        metrics.dropped += int((rate - nic_cap) / rate * n_requests)
-    return metrics
+    return _clip_to_cap(_rung_metrics(outcome, rate, profile, cores,
+                                      verdict_only), rate, nic_cap, n_requests)
 
 
 def _verdict_floor(rate: float) -> float:
     """The completed rate a knee rung offered ``rate`` must reach."""
     return ACCEPTABLE_SERVED_FRACTION * rate
+
+
+def _clip_to_cap(metrics, rate: float, cap: float, n_requests: int):
+    """Offered load above ``cap`` (wire rate, accelerator staging) never
+    reaches the server: its share of the requests counts as dropped."""
+    if rate > cap:
+        metrics.completed_rate = min(metrics.completed_rate, cap)
+        metrics.dropped += int((rate - cap) / rate * n_requests)
+    return metrics
 
 
 def _rung_metrics(outcome, rate: float, profile: FunctionProfile, cores: int,
@@ -330,14 +339,8 @@ def _run_accelerator(
 
     # Staging: SNIC CPU cores feed the engine over DPDK (§3.4).  They cap
     # the submission rate but their per-packet time is tiny.
-    staging_cap = float("inf")
-    staging_stack = profile.stack
-    if staging_stack is not None:
-        snic = PLATFORMS["snic-cpu"]
-        staging_per_packet = snic.stack_seconds(staging_stack, int(profile.wire_bytes))
-        staging_cap = engine.staging_cores / staging_per_packet
-    nic_cap = _nic_cap_rps(profile)
-    effective_rate = min(rate, staging_cap, nic_cap)
+    cap = min(_staging_cap_rps(profile), _nic_cap_rps(profile))
+    effective_rate = min(rate, cap)
 
     outcome = simulate_batch_server(
         effective_rate,
@@ -349,12 +352,8 @@ def _run_accelerator(
         per_item_time=per_item,
     )
     outcome = _add_fixed_latency(outcome, profile, ACCEL_PLATFORM, rng)
-    metrics = _rung_metrics(outcome, rate, profile, 1, verdict_only)
-    cap = min(staging_cap, nic_cap)
-    if rate > cap:
-        metrics.completed_rate = min(metrics.completed_rate, cap)
-        metrics.dropped += int((rate - cap) / rate * n_requests)
-    return metrics
+    return _clip_to_cap(_rung_metrics(outcome, rate, profile, 1, verdict_only),
+                        rate, cap, n_requests)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +393,13 @@ def run_ladder(
 ) -> list:
     """Simulate several rates of one (function, platform) in one batch.
 
-    The hybrid engine's simulated path: every rung shares one sampled
-    service array, one unit-mean interarrival array, and one stack-RTT
-    array (drawn from the dedicated ``:ladder`` substream), evaluated by
-    the stacked kernels in :mod:`repro.core.queueing`.  Returns one
+    Both engines' simulated path for knee ladders and Fig. 5 curves:
+    every rung shares one sampled service array, one unit-mean
+    interarrival array, and one stack-RTT array (drawn from the
+    dedicated ``:ladder`` substream), evaluated by the stacked kernels
+    in :mod:`repro.core.queueing` at most :data:`_STACK_RUNGS` rungs per
+    pass.  A rung's result depends only on its rate and those draws,
+    not on which other rungs share the call.  Returns one
     :class:`RunMetrics` per rate, in order.  ``verdict_only`` holds one
     flag per rate; a flagged rung comes back
     :class:`~repro.core.queueing.Overloaded` or as a verdict record (see
@@ -433,8 +435,38 @@ def _run_ladder(profile, platform, rates, streams, n_requests,
                 verdict_only=None) -> list:
     flags = verdict_only or [False] * len(rates)
     if platform == ACCEL_PLATFORM:
-        return _run_accelerator_ladder(profile, rates, streams, n_requests,
-                                       flags)
+        cores, cap, rtt, kernel = _accelerator_ladder(profile, streams,
+                                                      n_requests)
+    else:
+        cores, cap, rtt, kernel = _cpu_ladder(profile, platform, streams,
+                                              n_requests)
+
+    def run_pass(rates, flags) -> list:
+        # The outcomes hold views of the pass's stacked arrays; they die
+        # on return, before the ladder's next pass is built.
+        outcomes = kernel([min(rate, cap) for rate in rates],
+                          [_verdict_floor(rate) if flag else None
+                           for rate, flag in zip(rates, flags)])
+        results = []
+        for rate, outcome, flag in zip(rates, outcomes, flags):
+            if not isinstance(outcome, Overloaded):
+                outcome.add_component(COMP_STACK_RTT,
+                                      rtt[: len(outcome.sojourns)])
+                outcome = _clip_to_cap(
+                    _rung_metrics(outcome, rate, profile, cores, flag),
+                    rate, cap, n_requests)
+            results.append(outcome)
+        return results
+
+    results = []
+    for start in range(0, len(rates), _STACK_RUNGS):
+        stop = start + _STACK_RUNGS
+        results.extend(run_pass(rates[start:stop], flags[start:stop]))
+    return results
+
+
+def _cpu_ladder(profile, platform, streams, n_requests) -> tuple:
+    """(cores, wire cap, shared stack RTTs, kernel pass) of a CPU ladder."""
     if platform not in CPU_PLATFORMS:
         raise MeasurementError(f"unknown platform {platform!r}")
     if platform not in profile.platforms:
@@ -442,64 +474,38 @@ def _run_ladder(profile, platform, rates, streams, n_requests,
     rng = streams.fresh(f"{profile.key}:{platform}:ladder")
     services = cpu_service_seconds(profile, platform)
     cores = cpu_cores(profile, platform)
-    nic_cap = _nic_cap_rps(profile)
     queue_limit = _cpu_queue_limit(profile, platform, services)
-    effective = [min(rate, nic_cap) for rate in rates]
+    unit_gaps = draw_unit_gaps(n_requests, rng)
+    shared = rng.choice(services, size=n_requests)
 
-    def sampler(sampler_rng: np.random.Generator, n: int) -> np.ndarray:
-        return sampler_rng.choice(services, size=n)
+    def kernel(effective, floors) -> list:
+        return simulate_sharded_ladder(
+            effective, cores, unit_gaps, shared, queue_limit=queue_limit,
+            min_served_rates=floors)
 
-    floors = [_verdict_floor(rate) if flag else None
-              for rate, flag in zip(rates, flags)]
-    outcomes = simulate_sharded_ladder(
-        effective, cores, sampler, n_requests, rng, queue_limit=queue_limit,
-        min_served_rates=floors,
-    )
-    rtt = _shared_rtt(profile, platform, rng, n_requests)
-    results = []
-    for rate, outcome, flag in zip(rates, outcomes, flags):
-        if isinstance(outcome, Overloaded):
-            results.append(outcome)
-            continue
-        outcome.add_component(COMP_STACK_RTT, rtt[: len(outcome.sojourns)])
-        metrics = _rung_metrics(outcome, rate, profile, cores, flag)
-        if rate > nic_cap:
-            metrics.completed_rate = min(metrics.completed_rate, nic_cap)
-            metrics.dropped += int((rate - nic_cap) / rate * n_requests)
-        results.append(metrics)
-    return results
+    return (cores, _nic_cap_rps(profile),
+            _shared_rtt(profile, platform, rng, n_requests), kernel)
 
 
-def _run_accelerator_ladder(profile, rates, streams, n_requests,
-                            flags) -> list:
+def _accelerator_ladder(profile, streams, n_requests) -> tuple:
+    """(cores, staging/wire cap, shared stack RTTs, kernel pass) of an
+    accelerator ladder.  The batch server has no bounded buffer, so no
+    rung stops early."""
     if profile.accel_engine is None:
         raise MeasurementError(f"{profile.key} has no accelerator path")
     rng = streams.fresh(f"{profile.key}:accel:ladder")
     engine = ACCELERATORS[profile.accel_engine]
     per_item = accel_per_item_seconds(profile)
-    staging_cap = _staging_cap_rps(profile)
-    nic_cap = _nic_cap_rps(profile)
-    cap = min(staging_cap, nic_cap)
-    effective = [min(rate, cap) for rate in rates]
-    outcomes = simulate_batch_server_ladder(
-        effective,
-        n_requests,
-        rng,
-        batch_size=engine.max_batch,
-        batch_timeout=BATCH_TIMEOUT_S,
-        setup_time=engine.setup_latency_s,
-        per_item_time=per_item,
-    )
-    rtt = _shared_rtt(profile, ACCEL_PLATFORM, rng, n_requests)
-    results = []
-    for rate, outcome, flag in zip(rates, outcomes, flags):
-        outcome.add_component(COMP_STACK_RTT, rtt[: len(outcome.sojourns)])
-        metrics = _rung_metrics(outcome, rate, profile, 1, flag)
-        if rate > cap:
-            metrics.completed_rate = min(metrics.completed_rate, cap)
-            metrics.dropped += int((rate - cap) / rate * n_requests)
-        results.append(metrics)
-    return results
+    unit_arrivals = np.cumsum(draw_unit_gaps(n_requests, rng))
+
+    def kernel(effective, floors) -> list:
+        return simulate_batch_server_ladder(
+            effective, unit_arrivals, batch_size=engine.max_batch,
+            batch_timeout=BATCH_TIMEOUT_S,
+            setup_time=engine.setup_latency_s, per_item_time=per_item)
+
+    return (1, min(_staging_cap_rps(profile), _nic_cap_rps(profile)),
+            _shared_rtt(profile, ACCEL_PLATFORM, rng, n_requests), kernel)
 
 
 def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
@@ -784,15 +790,16 @@ def measure_operating_point(
     throughput".  An optional ``slo_p99`` additionally bounds the knee.
 
     ``engine`` selects the probe engine (:mod:`repro.core.hybrid`):
-    ``"sim"`` simulates every ladder rung one probe at a time (the
-    legacy path, byte-identical output); ``"hybrid"`` (the default)
-    simulates the knee window in one batched ladder call and serves the
-    far-from-knee rungs analytically inside a validated trust region.
-    Both engines probe the same 12 offered rates and the measurement at
-    the chosen knee is always a fresh standalone simulation on the same
-    RNG substream, so whenever the two engines agree on the knee rung —
-    disagreement at the window edges degrades the hybrid back to full
-    simulation — they report identical operating points.
+    ``"sim"`` simulates all 12 rungs in one :func:`run_ladder` call and
+    reads no analytic prediction or trust record; ``"hybrid"`` (the
+    default) simulates the knee window through the same ladder and
+    serves the far-from-knee rungs analytically inside a validated
+    trust region.  A rung both engines simulate has the same bits under
+    either, and the measurement at the chosen knee is always a fresh
+    standalone simulation on the same RNG substream, so whenever the two
+    engines agree on the knee rung — disagreement at the window edges
+    degrades the hybrid back to full simulation — they report identical
+    operating points.
     """
     engine = hybrid.resolve_engine(engine)
     streams = streams or RandomStreams()
@@ -804,8 +811,11 @@ def measure_operating_point(
 
     ladder = anchor * LADDER_FACTORS
     if engine == hybrid.ENGINE_SIM:
-        knee_rate = _knee_sim(profile, platform, ladder, streams,
-                              n_requests, slo_p99)
+        # Every rung simulated, and only its verdict (and, if acceptable,
+        # its completed rate) read.
+        knee_rate = _select_knee(ladder, run_ladder(
+            profile, platform, ladder, streams, n_requests,
+            verdict_only=[True] * len(ladder)), slo_p99)
     else:
         knee_rate = _knee_hybrid(profile, platform, anchor, ladder, streams,
                                  n_requests, slo_p99)
@@ -848,23 +858,6 @@ def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
             best_completed = metrics.completed_rate
             knee_rate = rate
     return knee_rate
-
-
-def _knee_sim(profile, platform, ladder, streams, n_requests,
-              slo_p99) -> float:
-    """Legacy knee search: every rung is its own simulation.
-
-    Only the rungs' verdicts and acceptable rungs' completed rates are
-    read, so every rung runs verdict-only.  The rungs run one at a time
-    as the knee scan reaches them, so a verdict record (which holds its
-    kept sojourns for the p99) is freed once it has been judged.
-    """
-    rung_metrics = (
-        run_fixed_rate(profile, platform, float(rate), streams, n_requests,
-                       verdict_only=True)
-        for rate in ladder
-    )
-    return _select_knee(ladder, rung_metrics, slo_p99)
 
 
 def _trust_key(profile: FunctionProfile, platform: str, n_requests: int,

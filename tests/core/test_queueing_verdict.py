@@ -21,6 +21,7 @@ from repro.core.queueing import (
     Overloaded,
     VerdictOnlyError,
     bounded_waits,
+    draw_unit_gaps,
     drop_budget_for,
     simulate_gg1,
     simulate_gg1_ladder,
@@ -132,10 +133,11 @@ class TestBoundedWaitsBudget:
     def test_ladder_rows_stop_independently(self):
         rates = [0.4, 1.0, 1.6]
         floors = [0.95 * rate for rate in rates]
-        full = simulate_gg1_ladder(rates, exp_sampler(1.5), 20_000,
-                                   np.random.default_rng(2), queue_limit=4.0)
-        verdict = simulate_gg1_ladder(rates, exp_sampler(1.5), 20_000,
-                                      np.random.default_rng(2),
+        rng = np.random.default_rng(2)
+        unit_gaps = draw_unit_gaps(20_000, rng)
+        services = exp_sampler(1.5)(rng, 20_000)
+        full = simulate_gg1_ladder(rates, unit_gaps, services, queue_limit=4.0)
+        verdict = simulate_gg1_ladder(rates, unit_gaps, services,
                                       queue_limit=4.0,
                                       min_served_rates=[None] + floors[1:])
         assert not isinstance(verdict[0], Overloaded)

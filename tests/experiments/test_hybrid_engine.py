@@ -13,13 +13,19 @@ Two guarantees the report pipeline leans on:
 import contextlib
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.core import hybrid
+from repro.core import cache, hybrid
+from repro.core.cache import ResultCache
+from repro.core.hybrid import TrustRecord
+from repro.core.queueing import Overloaded
 from repro.obs import metrics as obs_metrics
 from repro.core.rng import RandomStreams
-from repro.experiments import measurement
+from repro.experiments import fig5, measurement
+from repro.experiments.fig4 import FIG4_SMOKE_KEYS, snic_platform_for
 from repro.experiments.measurement import (
+    LADDER_FACTORS,
     estimate_capacity_rps,
     measure_operating_point,
     predict_fixed_rate,
@@ -160,3 +166,90 @@ class TestEngineEquivalence:
         # The skipped probes show up as saved work, never as a
         # different answer.
         assert len(hybrid_result.probes) <= len(sim_result.probes) + 1
+
+
+# -- one ladder code path: sim is hybrid with an empty trust region -----------
+
+SMOKE_SAMPLES = 40
+SMOKE_REQUESTS = 2_500
+# A 15-rate Fig. 5 curve in load factors of the capacity anchor: below,
+# through and past the knee window.
+CURVE_FACTORS = np.geomspace(0.2, 1.6, 15)
+
+
+def _rung_bits(result):
+    """What a knee or curve reads from a simulated rung, bit for bit."""
+    if isinstance(result, Overloaded):
+        return ("overloaded", result.dropped)
+    return (result.completed_rate, result.dropped, result.latency_p99)
+
+
+def _record_simulated_rungs(monkeypatch):
+    """Every rung :func:`run_ladder` simulates from now on, by rate."""
+    rungs = {}
+    real = measurement.run_ladder
+
+    def recorded(profile, platform, rates, streams, n_requests=20_000,
+                 verdict_only=None):
+        results = real(profile, platform, rates, streams, n_requests,
+                       verdict_only)
+        for rate, result in zip(rates, results):
+            rungs[float(rate)] = _rung_bits(result)
+        return results
+
+    monkeypatch.setattr(measurement, "run_ladder", recorded)
+    monkeypatch.setattr(fig5, "run_ladder", recorded)
+    return rungs
+
+
+def _engine_run(monkeypatch, engine, profile, platform, curve_gbps):
+    """One engine's knee and Fig. 5 curve on a fresh cache: the knee,
+    the simulated rungs of each, the cache and the analytic hits."""
+    store = cache.configure(ResultCache())
+    hits = obs_metrics.counter(obs_metrics.ANALYTIC_HITS).value
+    with monkeypatch.context() as patch:
+        knee_rungs = _record_simulated_rungs(patch)
+        point = measure_operating_point(
+            profile, platform, RandomStreams(11), SMOKE_REQUESTS,
+            engine=engine)
+    with monkeypatch.context() as patch:
+        curve_rungs = _record_simulated_rungs(patch)
+        fig5.measure_series(profile, platform, platform, curve_gbps,
+                            RandomStreams(11), n_requests=SMOKE_REQUESTS,
+                            engine=engine)
+    analytic = obs_metrics.counter(obs_metrics.ANALYTIC_HITS).value - hits
+    return point.capacity_rps, knee_rungs, curve_rungs, store, analytic
+
+
+@pytest.mark.parametrize("key", FIG4_SMOKE_KEYS)
+def test_engines_agree_on_every_simulated_rung(monkeypatch, key):
+    profile = get_profile(key, samples=SMOKE_SAMPLES)
+    previous = cache.get_cache()
+    try:
+        for platform in ("host", snic_platform_for(profile)):
+            anchor = min(estimate_capacity_rps(profile, platform),
+                         measurement._nic_cap_rps(profile))
+            curve_gbps = [anchor * factor * profile.wire_bytes * 8 / 1e9
+                          for factor in CURVE_FACTORS]
+            hybrid_knee, hybrid_ladder, hybrid_curve, hybrid_store, _ = \
+                _engine_run(monkeypatch, "hybrid", profile, platform,
+                            curve_gbps)
+            sim_knee, sim_ladder, sim_curve, sim_store, sim_analytic = \
+                _engine_run(monkeypatch, "sim", profile, platform,
+                            curve_gbps)
+
+            assert sim_knee == hybrid_knee
+            assert len(sim_ladder) == len(LADDER_FACTORS)
+            assert len(sim_curve) == len(CURVE_FACTORS)
+            for simulated, everything in ((hybrid_ladder, sim_ladder),
+                                          (hybrid_curve, sim_curve)):
+                assert simulated
+                for rate, bits in simulated.items():
+                    assert everything[rate] == bits, (platform, rate)
+            # The hybrid knee validated a trust region; sim keeps none.
+            assert any(isinstance(value, TrustRecord)
+                       for value in hybrid_store._memory.values())
+            assert len(sim_store) == 0
+            assert sim_analytic == 0
+    finally:
+        cache.configure(previous)

@@ -19,15 +19,22 @@ from repro.obs import metrics as obs_metrics
 from repro.offload import loadbalancer
 
 # sha256 of `python -m repro --engine sim report -o FILE` (with the
-# trailing newline the CLI writes).  Verdict-only knee rungs and the
-# exact scalar-loop rewrites left it unchanged.
+# trailing newline the CLI writes).  Re-pinned when `--engine sim` moved
+# onto the hybrid engine's rate ladders: every knee and Fig. 5 rung now
+# shares its ladder's draws instead of drawing its own substream, so
+# the Fig. 5 rows moved (the knees did not), and the preamble sentence
+# on `--engine sim` changed.  The sim report now differs from
+# EXPERIMENTS.md in one value, the analytic error of one Fig. 5 rung.
 SIM_REPORT_SHA256 = (
-    "a4bfdfbb4b48b84f14f63d36080777977a3028e71d32ad9ee1918b2d442ce6e9")
+    "3382011de4c007ec603e4f69570cb7e434fa00bbe2205027fa59499710eb685e")
 
 PINNED_COUNTERS = {
     obs_metrics.PROBES: 886,
     obs_metrics.PROBES_SIMULATED: 886,
     obs_metrics.VERDICT_ONLY: 130,
+    # 58 12-rung knee ladders and 8 15-rung Fig. 5 curves, each sharing
+    # its first rung's draws.
+    obs_metrics.SAMPLES_REUSED: 750,
     obs_metrics.EVENTS_SCHEDULED: 102221,
     obs_metrics.EVENTS_FIRED: 102221,
     obs_metrics.CACHE_HITS: 14,
