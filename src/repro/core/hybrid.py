@@ -30,9 +30,9 @@ ENGINE_HYBRID = "hybrid"
 ENGINE_SIM = "sim"
 ENGINES = (ENGINE_HYBRID, ENGINE_SIM)
 # The validated fast path is the default.  ``--engine sim`` runs the
-# same rate ladders with every rung simulated (an empty trust region),
-# so the two engines differ only where hybrid answers a rung
-# analytically.
+# same rate ladders with no rung answered analytically (its knees skip
+# only rungs a served-rate bound proves cannot move the knee), so the
+# two engines differ only where hybrid answers a rung analytically.
 DEFAULT_ENGINE = ENGINE_HYBRID
 
 

@@ -241,6 +241,28 @@ def drop_budget_for(
     return math.floor(n - threshold)
 
 
+def served_rate_bound(
+    n: int, last_arrival: float, cores: int = 1, max_service: float = 0.0
+) -> float:
+    """An upper bound, with :data:`VERDICT_MARGIN` of relative slack, on
+    the completed rate a run of ``n`` arrivals whose last arrives at
+    ``last_arrival`` can report, before it is simulated.
+
+    A bounded-buffer shard's last kept arrival is later than ``a_n -
+    s_max`` (see :func:`drop_budget_for`), so its served rate is below
+    ``n / (a_n - s_max)``, and ``cores`` shards serve ``cores`` times
+    that; pass the largest service as ``max_service``.  A run that drops
+    nothing — the batch server, ``max_service`` 0 — serves exactly
+    ``n / a_n``.  The overload cap of the completed rate and a caller's
+    wire-rate or staging clip only lower it.  Infinite when ``a_n <=
+    s_max``, where the argument says nothing.
+    """
+    span = last_arrival - max_service
+    if span <= 0.0:
+        return float("inf")
+    return cores * n / span * (1.0 + VERDICT_MARGIN)
+
+
 def bounded_waits_reference(
     arrivals: np.ndarray,
     services: np.ndarray,
@@ -992,7 +1014,8 @@ def _emit_batch_series(batch_log) -> None:
 
 
 def attribute_outcome(
-    outcome: QueueOutcome, warmup_fraction: float = WARMUP_FRACTION
+    outcome: QueueOutcome, warmup_fraction: float = WARMUP_FRACTION,
+    kept_p99: Optional[float] = None,
 ) -> Dict[str, float]:
     """Latency attribution over the measurement window.
 
@@ -1000,7 +1023,8 @@ def attribute_outcome(
     each component over the kept (post-warmup) requests — these sum to
     the reported mean sojourn exactly — plus the tail-conditional means
     (requests at or above the kept p99), which sum to ``attr.tail_mean_s``
-    and show *where* the p99 comes from.
+    and show *where* the p99 comes from.  ``kept_p99`` is that p99 when
+    the caller already has it (:func:`outcome_to_metrics` does).
     """
     n = len(outcome.sojourns)
     if n == 0 or not outcome.components:
@@ -1009,8 +1033,9 @@ def attribute_outcome(
     kept = outcome.sojourns[skip:]
     if kept.size == 0:
         return {}
-    p99 = np.percentile(kept, 99.0)
-    tail = kept >= p99
+    if kept_p99 is None:
+        kept_p99 = np.percentile(kept, 99.0)
+    tail = kept >= kept_p99
     result = {
         "attr.sojourn_mean_s": float(np.mean(kept)),
         "attr.tail_mean_s": float(np.mean(kept[tail])),
@@ -1067,8 +1092,8 @@ def outcome_to_metrics(
         latency_mean=latency.mean,
         dropped=outcome.dropped,
         # Same warmup window as the latency summary, so the component
-        # means sum to latency_mean exactly.
-        extra=attribute_outcome(outcome, warmup_fraction),
+        # means sum to latency_mean exactly (and the tail is cut at its p99).
+        extra=attribute_outcome(outcome, warmup_fraction, latency.p99),
     )
 
 

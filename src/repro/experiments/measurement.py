@@ -43,6 +43,7 @@ from ..core.queueing import (
     draw_unit_gaps,
     simulate_batch_server,
     simulate_batch_server_ladder,
+    served_rate_bound,
     simulate_sharded,
     simulate_sharded_ladder,
 )
@@ -70,10 +71,11 @@ LADDER_FACTORS = np.geomspace(0.3, 1.45, 12)
 ACCEPTABLE_SERVED_FRACTION = 0.95
 # The most rungs one stacked kernel pass holds.  A ladder's rungs are
 # independent rows over its shared draws, so a longer ladder (every
-# 12-rung knee and 15-rung Fig. 5 curve under ``--engine sim``) runs in
-# passes of this many, each converted before the next is built: the
-# same bits with at most this many rungs' (rungs x requests) arrays
-# alive.  The hybrid engine's windows fit in one pass.
+# 15-rung Fig. 5 curve under ``--engine sim``) runs in passes of this
+# many, each converted before the next is built: the same bits with at
+# most this many rungs' (rungs x requests) arrays alive.  The hybrid
+# engine's windows fit in one pass, and a ``sim`` knee descends one
+# rung a pass.
 _STACK_RUNGS = 6
 
 
@@ -393,53 +395,119 @@ def run_ladder(
 ) -> list:
     """Simulate several rates of one (function, platform) in one batch.
 
-    Both engines' simulated path for knee ladders and Fig. 5 curves:
-    every rung shares one sampled service array, one unit-mean
-    interarrival array, and one stack-RTT array (drawn from the
-    dedicated ``:ladder`` substream), evaluated by the stacked kernels
-    in :mod:`repro.core.queueing` at most :data:`_STACK_RUNGS` rungs per
-    pass.  A rung's result depends only on its rate and those draws,
-    not on which other rungs share the call.  Returns one
-    :class:`RunMetrics` per rate, in order.  ``verdict_only`` holds one
-    flag per rate; a flagged rung comes back
+    The simulated path for Fig. 5 curves under both engines and for the
+    hybrid engine's knee windows: every rung shares one sampled service
+    array, one unit-mean interarrival array, and one stack-RTT array
+    (drawn from the dedicated ``:ladder`` substream), evaluated by the
+    stacked kernels in :mod:`repro.core.queueing` at most
+    :data:`_STACK_RUNGS` rungs per pass.  A rung's result depends only
+    on its rate and those draws, not on which other rungs share the
+    call.  Returns one :class:`RunMetrics` per rate, in order.
+    ``verdict_only`` holds one flag per rate; a flagged rung comes back
     :class:`~repro.core.queueing.Overloaded` or as a verdict record (see
     :func:`run_fixed_rate`).
     """
     rates = [float(rate) for rate in rates]
-    count = len(rates)
-    if count == 0:
+    if not rates:
         return []
+    flags = verdict_only or [False] * len(rates)
+
+    def simulate() -> list:
+        run_pass, _ = _ladder_draws(profile, platform, streams, n_requests)
+        results = []
+        for start in range(0, len(rates), _STACK_RUNGS):
+            stop = start + _STACK_RUNGS
+            results.extend(run_pass(rates[start:stop], flags[start:stop]))
+        return results
+
+    return _probe_ladder(profile, platform, rates, n_requests, simulate)
+
+
+def descend_ladder(
+    profile: FunctionProfile,
+    platform: str,
+    ladder,
+    streams: RandomStreams,
+    n_requests: int = 20_000,
+    slo_p99: Optional[float] = None,
+) -> list:
+    """The ``--engine sim`` knee search: the top rungs of ``ladder``
+    that decide its knee, simulated verdict-only from the top down.
+
+    Draws :func:`run_ladder`'s shared arrays once and simulates one rung
+    per kernel pass, from the highest rate down.  It stops at the first
+    rung ``k`` where some rung that ran is acceptable and the best
+    acceptable completed rate among them is at least the
+    :func:`~repro.core.queueing.served_rate_bound` of every rung below
+    ``k``, computed from that rung's own draws: no lower rung can then
+    out-serve the knee of the rungs that ran, so
+    ``_select_knee(ladder[k:], result)`` picks exactly what it picks
+    over the whole ladder (DESIGN.md §14).  Returns the results of
+    ``ladder[k:]``, in order, each with the bits :func:`run_ladder`
+    gives it on the same draws.
+    """
+    rates = [float(rate) for rate in ladder]
+
+    def simulate() -> list:
+        run_pass, served_bound = _ladder_draws(profile, platform, streams,
+                                               n_requests)
+        ran = []
+        best = None  # the best acceptable completed rate so far
+        for index in reversed(range(len(rates))):
+            rung, = run_pass([rates[index]], [True])
+            ran.append(rung)
+            if _rung_acceptable(rung, rates[index], slo_p99):
+                best = max(rung.completed_rate, best or 0.0)
+            # Nearest rung first: its bound is the likeliest to fail.
+            if best is not None and all(
+                    best >= served_bound(rate)
+                    for rate in reversed(rates[:index])):
+                break
+        return ran[::-1]
+
+    return _probe_ladder(profile, platform, rates, n_requests, simulate)
+
+
+def _probe_ladder(profile, platform, rates, n_requests, simulate) -> list:
+    """Count and trace the rungs ``simulate()`` returns: the results of
+    the top ``len(result)`` rates of ``rates``, which share one draw."""
+    if not trace.TRACING:
+        results = simulate()
+    else:
+        with trace.track(trace.subtrack(f"{profile.key}:{platform}:ladder")):
+            # ``rungs`` is the ladder's size; a descent's probe.done
+            # events are the rungs that ran.
+            trace.instant("probe.ladder", trace.PROBE, function=profile.key,
+                          platform=platform, rungs=len(rates),
+                          n_requests=n_requests)
+            results = simulate()
+            for rate, rung in zip(rates[len(rates) - len(results):], results):
+                _trace_probe_done(rung, rate=rate)
+    count = len(results)
     obs_metrics.counter(obs_metrics.PROBES).inc(count)
     obs_metrics.counter(obs_metrics.PROBES_SIMULATED).inc(count)
     if count > 1:
         # Every rung past the first reuses the shared draws instead of
         # re-sampling (services + gaps + stack RTT).
         obs_metrics.counter(obs_metrics.SAMPLES_REUSED).inc(count - 1)
-    if not trace.TRACING:
-        metrics = _run_ladder(profile, platform, rates, streams, n_requests,
-                              verdict_only)
-        _count_verdicts(metrics)
-        return metrics
-    with trace.track(trace.subtrack(f"{profile.key}:{platform}:ladder")):
-        trace.instant("probe.ladder", trace.PROBE, function=profile.key,
-                      platform=platform, rungs=count, n_requests=n_requests)
-        metrics = _run_ladder(profile, platform, rates, streams, n_requests,
-                              verdict_only)
-        _count_verdicts(metrics)
-        for rate, rung in zip(rates, metrics):
-            _trace_probe_done(rung, rate=rate)
-        return metrics
+    _count_verdicts(results)
+    return results
 
 
-def _run_ladder(profile, platform, rates, streams, n_requests,
-                verdict_only=None) -> list:
-    flags = verdict_only or [False] * len(rates)
+def _ladder_draws(profile, platform, streams, n_requests) -> tuple:
+    """One ladder's shared draws, as ``(run_pass, served_bound)``.
+
+    ``run_pass(rates, flags)`` simulates one kernel pass of rungs (a
+    flagged rung verdict-only) and converts them; ``served_bound(rate)``
+    bounds the completed rate of the rung offered ``rate`` without
+    simulating it.
+    """
     if platform == ACCEL_PLATFORM:
-        cores, cap, rtt, kernel = _accelerator_ladder(profile, streams,
-                                                      n_requests)
+        cores, cap, rtt, kernel, bound = _accelerator_ladder(
+            profile, streams, n_requests)
     else:
-        cores, cap, rtt, kernel = _cpu_ladder(profile, platform, streams,
-                                              n_requests)
+        cores, cap, rtt, kernel, bound = _cpu_ladder(
+            profile, platform, streams, n_requests)
 
     def run_pass(rates, flags) -> list:
         # The outcomes hold views of the pass's stacked arrays; they die
@@ -458,15 +526,12 @@ def _run_ladder(profile, platform, rates, streams, n_requests,
             results.append(outcome)
         return results
 
-    results = []
-    for start in range(0, len(rates), _STACK_RUNGS):
-        stop = start + _STACK_RUNGS
-        results.extend(run_pass(rates[start:stop], flags[start:stop]))
-    return results
+    return run_pass, lambda rate: bound(min(rate, cap))
 
 
 def _cpu_ladder(profile, platform, streams, n_requests) -> tuple:
-    """(cores, wire cap, shared stack RTTs, kernel pass) of a CPU ladder."""
+    """(cores, wire cap, shared stack RTTs, kernel pass, served-rate
+    bound at an effective rate) of a CPU ladder."""
     if platform not in CPU_PLATFORMS:
         raise MeasurementError(f"unknown platform {platform!r}")
     if platform not in profile.platforms:
@@ -483,14 +548,20 @@ def _cpu_ladder(profile, platform, streams, n_requests) -> tuple:
             effective, cores, unit_gaps, shared, queue_limit=queue_limit,
             min_served_rates=floors)
 
+    def bound(effective) -> float:
+        # The shard's last arrival, summed as the kernel sums it.
+        last = float(np.cumsum(unit_gaps / (effective / cores))[-1])
+        return served_rate_bound(n_requests, last, cores,
+                                 float(np.max(shared)))
+
     return (cores, _nic_cap_rps(profile),
-            _shared_rtt(profile, platform, rng, n_requests), kernel)
+            _shared_rtt(profile, platform, rng, n_requests), kernel, bound)
 
 
 def _accelerator_ladder(profile, streams, n_requests) -> tuple:
-    """(cores, staging/wire cap, shared stack RTTs, kernel pass) of an
-    accelerator ladder.  The batch server has no bounded buffer, so no
-    rung stops early."""
+    """(cores, staging/wire cap, shared stack RTTs, kernel pass,
+    served-rate bound at an effective rate) of an accelerator ladder.
+    The batch server has no bounded buffer, so no rung stops early."""
     if profile.accel_engine is None:
         raise MeasurementError(f"{profile.key} has no accelerator path")
     rng = streams.fresh(f"{profile.key}:accel:ladder")
@@ -504,8 +575,13 @@ def _accelerator_ladder(profile, streams, n_requests) -> tuple:
             batch_timeout=BATCH_TIMEOUT_S,
             setup_time=engine.setup_latency_s, per_item_time=per_item)
 
+    def bound(effective) -> float:
+        return served_rate_bound(n_requests,
+                                 float(unit_arrivals[-1] / effective))
+
     return (1, min(_staging_cap_rps(profile), _nic_cap_rps(profile)),
-            _shared_rtt(profile, ACCEL_PLATFORM, rng, n_requests), kernel)
+            _shared_rtt(profile, ACCEL_PLATFORM, rng, n_requests), kernel,
+            bound)
 
 
 def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
@@ -790,8 +866,9 @@ def measure_operating_point(
     throughput".  An optional ``slo_p99`` additionally bounds the knee.
 
     ``engine`` selects the probe engine (:mod:`repro.core.hybrid`):
-    ``"sim"`` simulates all 12 rungs in one :func:`run_ladder` call and
-    reads no analytic prediction or trust record; ``"hybrid"`` (the
+    ``"sim"`` simulates the ladder from the top down with
+    :func:`descend_ladder`, only until no lower rung can move the knee,
+    and reads no analytic prediction or trust record; ``"hybrid"`` (the
     default) simulates the knee window through the same ladder and
     serves the far-from-knee rungs analytically inside a validated
     trust region.  A rung both engines simulate has the same bits under
@@ -811,11 +888,12 @@ def measure_operating_point(
 
     ladder = anchor * LADDER_FACTORS
     if engine == hybrid.ENGINE_SIM:
-        # Every rung simulated, and only its verdict (and, if acceptable,
-        # its completed rate) read.
-        knee_rate = _select_knee(ladder, run_ladder(
-            profile, platform, ladder, streams, n_requests,
-            verdict_only=[True] * len(ladder)), slo_p99)
+        # Only the top rungs that decide the knee are simulated, and only
+        # their verdicts (and, if acceptable, completed rates) read.
+        ran = descend_ladder(profile, platform, ladder, streams, n_requests,
+                             slo_p99)
+        knee_rate = _select_knee(ladder[len(ladder) - len(ran):], ran,
+                                 slo_p99)
     else:
         knee_rate = _knee_hybrid(profile, platform, anchor, ladder, streams,
                                  n_requests, slo_p99)

@@ -19,7 +19,6 @@ import pytest
 from repro.core import cache, hybrid
 from repro.core.cache import ResultCache
 from repro.core.hybrid import TrustRecord
-from repro.core.queueing import Overloaded
 from repro.obs import metrics as obs_metrics
 from repro.core.rng import RandomStreams
 from repro.experiments import fig5, measurement
@@ -34,6 +33,7 @@ from repro.experiments.measurement import (
     sweep_operating_rate,
 )
 from repro.experiments.profiles import get_profile
+from tests.experiments.test_knee_descent import rule_rungs, rung_bits
 
 
 @contextlib.contextmanager
@@ -177,27 +177,31 @@ SMOKE_REQUESTS = 2_500
 CURVE_FACTORS = np.geomspace(0.2, 1.6, 15)
 
 
-def _rung_bits(result):
-    """What a knee or curve reads from a simulated rung, bit for bit."""
-    if isinstance(result, Overloaded):
-        return ("overloaded", result.dropped)
-    return (result.completed_rate, result.dropped, result.latency_p99)
-
-
 def _record_simulated_rungs(monkeypatch):
-    """Every rung :func:`run_ladder` simulates from now on, by rate."""
+    """Every rung :func:`run_ladder` or :func:`descend_ladder` simulates
+    from now on, by rate."""
     rungs = {}
-    real = measurement.run_ladder
+    real_ladder = measurement.run_ladder
+    real_descent = measurement.descend_ladder
+
+    def record(rates, results):
+        for rate, result in zip(rates, results):
+            rungs[float(rate)] = rung_bits(result)
+        return results
 
     def recorded(profile, platform, rates, streams, n_requests=20_000,
                  verdict_only=None):
-        results = real(profile, platform, rates, streams, n_requests,
-                       verdict_only)
-        for rate, result in zip(rates, results):
-            rungs[float(rate)] = _rung_bits(result)
-        return results
+        return record(rates, real_ladder(profile, platform, rates, streams,
+                                         n_requests, verdict_only))
+
+    def recorded_descent(profile, platform, ladder, streams,
+                         n_requests=20_000, slo_p99=None):
+        results = real_descent(profile, platform, ladder, streams,
+                               n_requests, slo_p99)
+        return record(list(ladder)[len(ladder) - len(results):], results)
 
     monkeypatch.setattr(measurement, "run_ladder", recorded)
+    monkeypatch.setattr(measurement, "descend_ladder", recorded_descent)
     monkeypatch.setattr(fig5, "run_ladder", recorded)
     return rungs
 
@@ -237,11 +241,17 @@ def test_engines_agree_on_every_simulated_rung(monkeypatch, key):
             sim_knee, sim_ladder, sim_curve, sim_store, sim_analytic = \
                 _engine_run(monkeypatch, "sim", profile, platform,
                             curve_gbps)
+            ladder = [float(rate) for rate in anchor * LADDER_FACTORS]
+            full_ladder = dict(zip(ladder, map(rung_bits, run_ladder(
+                profile, platform, ladder, RandomStreams(11), SMOKE_REQUESTS,
+                verdict_only=[True] * len(ladder)))))
 
             assert sim_knee == hybrid_knee
-            assert len(sim_ladder) == len(LADDER_FACTORS)
+            assert sorted(sim_ladder) == rule_rungs(
+                profile, platform, ladder, 11, SMOKE_REQUESTS)
             assert len(sim_curve) == len(CURVE_FACTORS)
-            for simulated, everything in ((hybrid_ladder, sim_ladder),
+            for simulated, everything in ((hybrid_ladder, full_ladder),
+                                          (sim_ladder, full_ladder),
                                           (hybrid_curve, sim_curve)):
                 assert simulated
                 for rate, bits in simulated.items():

@@ -29,12 +29,14 @@ SIM_REPORT_SHA256 = (
     "3382011de4c007ec603e4f69570cb7e434fa00bbe2205027fa59499710eb685e")
 
 PINNED_COUNTERS = {
-    obs_metrics.PROBES: 886,
-    obs_metrics.PROBES_SIMULATED: 886,
+    # 58 knee descents of 4 rungs each (the top three unacceptable, the
+    # fourth is the knee and out-serves every lower rung's bound), 8
+    # 15-rung Fig. 5 curves and 70 single fixed-rate probes.
+    obs_metrics.PROBES: 422,
+    obs_metrics.PROBES_SIMULATED: 422,
     obs_metrics.VERDICT_ONLY: 130,
-    # 58 12-rung knee ladders and 8 15-rung Fig. 5 curves, each sharing
-    # its first rung's draws.
-    obs_metrics.SAMPLES_REUSED: 750,
+    # Each knee descent and Fig. 5 curve shares its first rung's draws.
+    obs_metrics.SAMPLES_REUSED: 286,
     obs_metrics.EVENTS_SCHEDULED: 102221,
     obs_metrics.EVENTS_FIRED: 102221,
     obs_metrics.CACHE_HITS: 14,

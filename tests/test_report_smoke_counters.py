@@ -5,9 +5,10 @@ The default report's counters are pinned next to its golden file
 which CI and the cold-start tests run most: counts are deterministic, so
 a probe more or less, a rung stopped early or not, one draw shared more
 or less, or one DES event added or dropped fails here instead of going
-unseen.  Under ``--engine sim`` every knee ladder (12 rungs) and Fig. 5
-curve shares one set of draws, so ``probe.samples_reused`` counts all
-but the first rung of each.
+unseen.  Under ``--engine sim`` every knee descent (the top rungs of
+its 12-rung ladder that decide the knee) and Fig. 5 curve shares one
+set of draws, so ``probe.samples_reused`` counts all but the first rung
+of each.
 """
 
 import pytest
@@ -25,10 +26,10 @@ PINNED_COUNTERS = {
         obs_metrics.CACHE_MISSES: 43,
     },
     "sim": {
-        obs_metrics.PROBES_SIMULATED: 452,
+        obs_metrics.PROBES_SIMULATED: 196,
         obs_metrics.ANALYTIC_HITS: 0,
         obs_metrics.VERDICT_ONLY: 59,
-        obs_metrics.SAMPLES_REUSED: 368,
+        obs_metrics.SAMPLES_REUSED: 112,
         obs_metrics.EVENTS_FIRED: 12941,
         obs_metrics.CACHE_HITS: 6,
         obs_metrics.CACHE_MISSES: 43,
